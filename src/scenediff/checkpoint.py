@@ -47,18 +47,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}")
     off = 6
-    (mlen,) = struct.unpack_from("<I", data, off)
-    off += 4
     metadata = {}
-    for line in data[off : off + mlen].decode().splitlines():
-        if line:
-            k, _, v = line.partition("=")
-            metadata[k] = v
-    off += mlen
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
     params = {}
     try:
+        (mlen,) = struct.unpack_from("<I", data, off)
+        off += 4
+        for line in data[off : off + mlen].decode().splitlines():
+            if line:
+                k, _, v = line.partition("=")
+                metadata[k] = v
+        off += mlen
+        (count,) = struct.unpack_from("<I", data, off)
+        off += 4
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", data, off)
             off += 2

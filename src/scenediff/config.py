@@ -101,13 +101,3 @@ def load_run_config(path=None, overrides: dict | None = None, log=None) -> RunCo
             values[key] = _PARSERS[key](val) if isinstance(val, str) else val
     return RunConfig(**values)
 
-
-FULL_SCALE = RunConfig(
-    dims=(128, 128, 8),
-    num_classes=11,
-    num_steps=100,
-    hidden=(32, 64),
-    vq_num_codes=1100,
-    vq_code_dim=11,
-    vq_strides=((2, 2, 2), (2, 2, 2)),
-)

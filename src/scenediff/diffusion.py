@@ -38,6 +38,40 @@ def sample_field(field: CategoricalField, rng: np.random.Generator) -> VoxelGrid
     return VoxelGrid(labels.reshape(field.dims))
 
 
+def _uniform_rows(labels: np.ndarray, keep: float, k: int) -> np.ndarray:
+    """Rows M[labels] of M = keep * I + (1 - keep)/K 11^T, as a (V, K) array:
+    a constant plus one bump at each label."""
+    rows = np.full((labels.size, k), (1.0 - keep) / k)
+    rows[np.arange(labels.size), labels] += keep
+    return rows
+
+
+def _uniform_mix(x: np.ndarray, keep: float) -> np.ndarray:
+    """x @ M for M = keep * I + (1 - keep)/K 11^T. M is symmetric, so this is
+    also x @ M^T."""
+    out = keep * x
+    out += (1.0 - keep) / x.shape[-1] * x.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _posterior_pieces(xt_flat: np.ndarray, t: int, trans: UniformTransition):
+    """Closed-form pieces of the reverse-step posterior, O(V*K): the rows
+    a = Qt[x_t] and denom = Qbar_t[x_t] (= Qbar_t[:, x_t] by symmetry), and
+    alpha_bar_{t-1}, the keep-probability of Qbar_{t-1}."""
+    k = trans.num_classes
+    a = _uniform_rows(xt_flat, 1.0 - trans.schedule.beta_at(t), k)
+    denom = _uniform_rows(xt_flat, trans.schedule.alpha_bar_at(t), k)
+    return a, denom, trans.schedule.alpha_bar_at(t - 1)
+
+
+def _posterior_from(p0: np.ndarray, a: np.ndarray, denom: np.ndarray,
+                    abar_prev: float) -> np.ndarray:
+    """Normalized posterior rows a * ((p0 / denom) @ Qbar_{t-1})."""
+    post = a * _uniform_mix(p0 / denom, abar_prev)
+    post /= post.sum(axis=-1, keepdims=True)
+    return post
+
+
 def posterior(x_t: VoxelGrid, x0_dist: CategoricalField, t: int,
               trans: UniformTransition) -> CategoricalField:
     """One reverse-step distribution q(x_{t-1} | x_t, x0~), marginalized over
@@ -46,19 +80,17 @@ def posterior(x_t: VoxelGrid, x0_dist: CategoricalField, t: int,
     Per voxel with observed label c = x_t:
         post_j = Qt[c, j] * sum_m p0_m * Qbar_{t-1}[m, j] / Qbar_t[m, c]
     which is the Bayes posterior for each candidate x0~ = m, weighted by p0_m.
+
+    Every uniform transition is a*I + (1-a)/K 11^T, so the rows of Qt and
+    Qbar_t and the product with Qbar_{t-1} are formed in closed form with
+    O(V*K) work and memory. The dense K x K matrices of `UniformTransition`
+    are the reference oracle the tests check this against.
     """
     if t < 2:
         raise ValueError("posterior requires t >= 2; the t=1 step is the decoder term")
     trans.schedule._check_t(t)
-    xt = x_t.labels.reshape(-1)
-    p0 = x0_dist.flat()
-    qt = trans.single_step_matrix(t)  # symmetric
-    qbar_prev = trans.cumulative_matrix(t - 1)
-    qbar_t = trans.cumulative_matrix(t)
-    a = qt[xt]  # (V, K): A[v, j] = Qt[x_t_v, j]
-    denom = qbar_t[xt]  # (V, K): denom[v, m] = Qbar_t[m, x_t_v] by symmetry
-    post = a * ((p0 / denom) @ qbar_prev)
-    post /= post.sum(axis=-1, keepdims=True)
+    pieces = _posterior_pieces(x_t.labels.reshape(-1), t, trans)
+    post = _posterior_from(x0_dist.flat(), *pieces)
     return CategoricalField(post.reshape(x0_dist.probs.shape))
 
 
@@ -78,15 +110,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _posterior_pieces(xt_flat, t, trans):
-    qt = trans.single_step_matrix(t)
-    qbar_prev = trans.cumulative_matrix(t - 1)
-    qbar_t = trans.cumulative_matrix(t)
-    a = qt[xt_flat]
-    denom = qbar_t[xt_flat]
-    return a, denom, qbar_prev
 
 
 def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalField,
@@ -117,10 +140,9 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
         g_p = (1.0 + w0) * g_aux
     else:
         xt_flat = x_t.labels.reshape(-1)
-        a, denom, qbar_prev = _posterior_pieces(xt_flat, t, trans)
-        post_pred = a * ((p / denom) @ qbar_prev)
-        post_pred /= post_pred.sum(axis=-1, keepdims=True)
-        q_true = posterior(x_t, one_hot(x0, k), t, trans).flat()
+        a, denom, abar_prev = _posterior_pieces(xt_flat, t, trans)
+        post_pred = _posterior_from(p, a, denom, abar_prev)
+        q_true = _posterior_from(one_hot(x0, k).flat(), a, denom, abar_prev)
         post_floor = np.maximum(post_pred, PROB_FLOOR)
         vb = float(np.mean(
             np.where(q_true > 0, q_true * (np.log(q_true) - np.log(post_floor)), 0.0).sum(axis=-1)
@@ -129,7 +151,7 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
         # (the final renormalization has zero gradient since sum_j post_j == 1)
         r = np.where(post_pred > PROB_FLOOR, q_true / post_floor, 0.0)
         g_post = -r / nvox
-        g_p = ((g_post * a) @ qbar_prev.T) / denom
+        g_p = _uniform_mix(g_post * a, abar_prev) / denom
         g_p += w0 * g_aux
 
     total = vb + w0 * aux
@@ -147,30 +169,22 @@ def diffusion_loss(x0: VoxelGrid, t: int, model_logits: CategoricalField,
 
 
 def reverse_step(x_t: VoxelGrid, t: int, denoiser, trans: UniformTransition,
-                 rng: np.random.Generator, condition: VoxelGrid | None = None,
-                 sample_x0_first: bool = False) -> VoxelGrid:
-    """One ancestral reverse step: predict x0~, then draw x_{t-1}.
-
-    With `sample_x0_first`, a hard x0~ is drawn before forming the posterior
-    (the non-default reading of the reverse-step factorization).
-    """
+                 rng: np.random.Generator, condition: VoxelGrid | None = None) -> VoxelGrid:
+    """One ancestral reverse step: predict x0~, then draw x_{t-1} from the
+    posterior marginalized over it."""
     trans.schedule._check_t(t)
     logits = denoiser(x_t, t, condition)
     p0 = CategoricalField(softmax(logits.probs))
     if t == 1:
         return sample_field(p0, rng)
-    if sample_x0_first:
-        hard = sample_field(p0, rng)
-        p0 = one_hot(hard, trans.num_classes)
     return sample_field(posterior(x_t, p0, t, trans), rng)
 
 
 def sample_loop(denoiser, dims: tuple[int, int, int], trans: UniformTransition,
-                rng: np.random.Generator, condition: VoxelGrid | None = None,
-                sample_x0_first: bool = False) -> VoxelGrid:
+                rng: np.random.Generator, condition: VoxelGrid | None = None) -> VoxelGrid:
     """Full ancestral sampler: uniform x_T, then reverse steps down to x_0."""
     k = trans.num_classes
     x = VoxelGrid(rng.integers(0, k, size=dims))
     for t in range(trans.schedule.num_steps, 0, -1):
-        x = reverse_step(x, t, denoiser, trans, rng, condition, sample_x0_first)
+        x = reverse_step(x, t, denoiser, trans, rng, condition)
     return x

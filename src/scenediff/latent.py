@@ -66,6 +66,11 @@ def sample_latent(latent_params: dict, latent_config: dn.DenoiserConfig,
                   vq: VQVAETrainResult, dims_latent: tuple[int, int, int],
                   trans: UniformTransition, rng: np.random.Generator) -> VoxelGrid:
     """Sample an index grid, snap through the codebook, decode to voxels."""
+    n = vq.config.num_codes
+    if latent_config.num_classes != n or trans.num_classes != n:
+        raise ValueError(
+            f"latent model has {latent_config.num_classes} classes and its transitions "
+            f"{trans.num_classes}, but the VQ-VAE codebook has {n} codes")
     idx = sample_loop(dn.as_denoiser_fn(latent_params, latent_config), dims_latent, trans, rng)
     zq = vq.params["codes"][idx.labels]
     logits = decode(vq.params, vq.config, zq)

@@ -76,6 +76,10 @@ class UniformTransition:
     Single step: Q_t = (1 - beta_t) I + (beta_t / K) 11^T.
     Cumulative:  Qbar_t = alpha_bar_t I + ((1 - alpha_bar_t) / K) 11^T,
     which equals the explicit product Q_1 ... Q_t.
+
+    The dense K x K matrices are the reference oracle that the tests check
+    the runtime path against. The diffusion code never builds them: it uses
+    the closed form of rows and products, which costs O(V*K) for V voxels.
     """
 
     def __init__(self, num_classes: int, schedule: NoiseSchedule):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from scenediff import denoiser as dn
+from scenediff import vqvae as vq
 from scenediff.cli import main
 from scenediff.config import RunConfig, load_run_config, parse_config_text
 from scenediff.errors import ConfigError
@@ -173,3 +175,29 @@ def test_eval_rejects_unknown_method(tmp_path, capsys):
     assert run(["eval", "--methods", "psychic", "--data", str(data),
                 "--out", str(tmp_path / "e")]) == 1
     assert "unknown method" in capsys.readouterr().out
+
+
+def test_sample_rejects_truncated_checkpoint(tmp_path, capsys):
+    config = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(3, 4), num_steps=3)
+    ckpt = tmp_path / "d.vxdn"
+    dn.save_denoiser(ckpt, dn.init_params(config, 0), config)
+    ckpt.write_bytes(ckpt.read_bytes()[:12])
+    assert run(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "s")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and len(out.splitlines()) == 1
+
+
+def test_sample_rejects_latent_codebook_mismatch(tmp_path, capsys):
+    vq_config = vq.VQVAEConfig(num_classes=4, num_codes=8, code_dim=3, hidden=4)
+    vq_ckpt = tmp_path / "vq.vxdn"
+    vq.save_vqvae(vq_ckpt, vq.VQVAETrainResult(vq.init_params(vq_config, 0), vq_config,
+                                              np.ones(4)))
+    # 6 latent classes index a valid subset of the 8 codes, so nothing else fails
+    config = dn.DenoiserConfig(num_classes=6, in_channels=6, hidden=(3, 4), num_steps=3)
+    lat_ckpt = tmp_path / "lat.vxdn"
+    dn.save_denoiser(lat_ckpt, dn.init_params(config, 0), config)
+    assert run(["sample", "--ckpt", str(lat_ckpt), "--vqvae", str(vq_ckpt),
+                "--dims", "2x2x2", "--out", str(tmp_path / "s")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and len(out.splitlines()) == 1
+    assert "codebook" in out

@@ -242,3 +242,79 @@ def test_ancestral_corruption_matches_marginal():
             freq = np.bincount(cur.labels.ravel(), minlength=k) / n
             expect = q_marginal(one_hot(x0, k), t, trans).flat()[0]
             assert np.abs(freq - expect).sum() < 0.02
+
+
+def dense_posterior(xt_flat, p0, t, trans):
+    """Reference reverse-step posterior from the dense K x K oracle matrices."""
+    qt = trans.single_step_matrix(t)
+    qbar_prev = trans.cumulative_matrix(t - 1)
+    qbar_t = trans.cumulative_matrix(t)
+    post = qt[xt_flat] * ((p0 / qbar_t[xt_flat]) @ qbar_prev)
+    return post / post.sum(axis=-1, keepdims=True)
+
+
+def dense_loss_and_grad(x0_flat, xt_flat, logits, w0, t, trans):
+    """Reference (total, vb, d total / d logits) for t >= 2 from the dense
+    oracle matrices, chaining vb through post = M p with
+    M[j, m] = Qt[x_t, j] Qbar_{t-1}[m, j] / Qbar_t[m, x_t]."""
+    k, nvox = trans.num_classes, x0_flat.size
+    rows = np.arange(nvox)
+    p = softmax(logits)
+    qt = trans.single_step_matrix(t)
+    qbar_prev = trans.cumulative_matrix(t - 1)
+    qbar_t = trans.cumulative_matrix(t)
+    post_pred = dense_posterior(xt_flat, p, t, trans)
+    q_true = dense_posterior(xt_flat, np.eye(k)[x0_flat], t, trans)
+    post_floor = np.maximum(post_pred, 1e-12)
+    vb = float(np.mean(np.where(
+        q_true > 0, q_true * (np.log(q_true) - np.log(post_floor)), 0.0).sum(axis=-1)))
+    aux = float(np.mean(-np.log(p[rows, x0_flat])))
+    g_post = -np.where(post_pred > 1e-12, q_true / post_floor, 0.0) / nvox
+    g_p = ((g_post * qt[xt_flat]) @ qbar_prev.T) / qbar_t[xt_flat]
+    g_p[rows, x0_flat] -= w0 / (nvox * p[rows, x0_flat])
+    g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+    return vb + w0 * aux, vb, g_logits
+
+
+def test_closed_form_matches_dense_oracle_at_full_scale_codebook():
+    # K = 1100 is the full-scale codebook; the enumeration oracle above only
+    # reaches K = 6, so a closed form that fails only at large K shows here
+    k, t_max, dims = 1100, 20, (2, 2, 2)
+    trans = UniformTransition(k, make_schedule("cosine", t_max))
+    rng = np.random.default_rng(12)
+    x0 = VoxelGrid(rng.integers(0, k, size=dims))
+    xt_labels = rng.integers(0, k, size=dims)
+    xt_labels.reshape(-1)[::2] = x0.labels.reshape(-1)[::2]  # x_t == x0 on half the voxels
+    x_t = VoxelGrid(xt_labels)
+    xt_flat = xt_labels.reshape(-1)
+    logits = rng.normal(size=dims + (k,))
+    for t in (2, 10, t_max):
+        for p0 in (random_field(rng, dims, k), one_hot(x0, k)):
+            got = posterior(x_t, p0, t, trans).flat()
+            assert np.max(np.abs(got - dense_posterior(xt_flat, p0.flat(), t, trans))) < 1e-12
+        total, vb, _, grad = diffusion_loss_and_grad(
+            x0, t, CategoricalField(logits), x_t, 0.3, trans)
+        ref_total, ref_vb, ref_grad = dense_loss_and_grad(
+            x0.labels.reshape(-1), xt_flat, logits.reshape(-1, k), 0.3, t, trans)
+        assert abs(vb - ref_vb) < 1e-12
+        assert abs(total - ref_total) < 1e-12
+        assert np.max(np.abs(grad.flat() - ref_grad)) < 1e-12
+
+
+def test_diffusion_loss_gradient_finite_differences_k64():
+    k = 64
+    trans = UniformTransition(k, make_schedule("cosine", 20))
+    rng = np.random.default_rng(13)
+    x0 = VoxelGrid(rng.integers(0, k, size=(2, 1, 1)))
+    x_t = VoxelGrid(np.array([[[x0.labels[0, 0, 0]]], [[rng.integers(0, k)]]]))
+    logits = rng.normal(size=(2, 1, 1, k))
+    t = 6
+    _, _, _, grad = diffusion_loss_and_grad(x0, t, CategoricalField(logits), x_t, 0.3, trans)
+    h = 1e-6
+    for idx in np.ndindex(logits.shape):
+        lp, lm = logits.copy(), logits.copy()
+        lp[idx] += h
+        lm[idx] -= h
+        fp, _, _ = diffusion_loss(x0, t, CategoricalField(lp), x_t, 0.3, trans)
+        fm, _, _ = diffusion_loss(x0, t, CategoricalField(lm), x_t, 0.3, trans)
+        assert grad.probs[idx] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)

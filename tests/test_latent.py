@@ -111,6 +111,17 @@ def test_sample_latent_output_dims_scale_with_strides():
     assert out.dims == (12, 8, 2)  # total stride (4, 4, 2)
 
 
+def test_sample_latent_rejects_codebook_mismatch():
+    vqr = make_vq()  # 6 codes
+    for k_model, k_trans in ((5, 6), (6, 5)):
+        trans = UniformTransition(k_trans, make_schedule("cosine", 3))
+        config = lat.dn.DenoiserConfig(num_classes=k_model, in_channels=k_model,
+                                       hidden=(4, 6), num_steps=3)
+        with pytest.raises(ValueError, match="codebook"):
+            lat.sample_latent(lat.dn.init_params(config, 0), config, vqr, (2, 2, 1), trans,
+                              np.random.default_rng(0))
+
+
 def test_timing_report_layout(tmp_path):
     report = lat.TimingReport([
         lat.TimingRow("voxel", (16, 16, 4), 0.125, 0.5),
