@@ -76,35 +76,51 @@ def cmd_gen_data(args):
     print(f"wrote {len(files)} scenes to {out}")
 
 
-def cmd_train_diffusion(args):
-    cfg = load_run_config(args.config, _overrides(args), log=print)
-    scenes, _ = _load_dataset(args.data)
-    config = dn.DenoiserConfig(num_classes=cfg.num_classes, in_channels=cfg.num_classes,
-                               hidden=tuple(cfg.hidden), num_steps=cfg.num_steps)
-    params, history = dn.train_diffusion(scenes, config, _transition(cfg), cfg.seed,
-                                         epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                         lr=cfg.lr, w0=cfg.w0, log=print)
-    dn.save_denoiser(args.out, params, config,
-                     extra={"schedule": cfg.schedule, "T": cfg.num_steps,
-                            "w0": cfg.w0, "epochs": cfg.epochs, "mode": "unconditional"})
-    print(f"saved checkpoint {args.out}")
+def _trainer(train):
+    """A train-* command: `train(args, cfg, scenes)` fits a model and returns a
+    function that saves it to a path. Config, data and the report are shared."""
+
+    def cmd(args):
+        cfg = load_run_config(args.config, _overrides(args), log=print)
+        scenes, _ = _load_dataset(args.data)
+        train(args, cfg, scenes)(args.out)
+        print(f"saved checkpoint {args.out}")
+
+    return cmd
 
 
-def cmd_train_vqvae(args):
-    cfg = load_run_config(args.config, _overrides(args), log=print)
-    scenes, _ = _load_dataset(args.data)
+def _denoiser_config(cfg, in_channels: int) -> dn.DenoiserConfig:
+    return dn.DenoiserConfig(num_classes=cfg.num_classes, in_channels=in_channels,
+                             hidden=tuple(cfg.hidden), num_steps=cfg.num_steps)
+
+
+def _denoiser_saver(params, config, cfg, **extra):
+    """Saver for a diffusion denoiser; records its schedule, T and w0."""
+    extra = dict(schedule=cfg.schedule, T=cfg.num_steps, w0=cfg.w0, **extra)
+    return lambda path: dn.save_denoiser(path, params, config, extra=extra)
+
+
+@_trainer
+def cmd_train_diffusion(args, cfg, scenes):
+    config = _denoiser_config(cfg, cfg.num_classes)
+    params, _ = dn.train_diffusion(scenes, config, _transition(cfg), cfg.seed,
+                                   epochs=cfg.epochs, batch_size=cfg.batch_size,
+                                   lr=cfg.lr, w0=cfg.w0, log=print)
+    return _denoiser_saver(params, config, cfg, epochs=cfg.epochs, mode="unconditional")
+
+
+@_trainer
+def cmd_train_vqvae(args, cfg, scenes):
     config = vq.VQVAEConfig(num_classes=cfg.num_classes, num_codes=cfg.vq_num_codes,
                             code_dim=cfg.vq_code_dim, hidden=cfg.vq_hidden,
                             strides=cfg.vq_strides, beta_commit=cfg.vq_beta_commit)
     result = vq.train_vqvae(scenes, config, cfg.seed, epochs=cfg.epochs,
                             batch_size=cfg.batch_size, lr=cfg.lr, log=print)
-    vq.save_vqvae(args.out, result, extra={"epochs": cfg.epochs})
-    print(f"saved checkpoint {args.out}")
+    return lambda path: vq.save_vqvae(path, result, extra={"epochs": cfg.epochs})
 
 
-def cmd_train_latent(args):
-    cfg = load_run_config(args.config, _overrides(args), log=print)
-    scenes, _ = _load_dataset(args.data)
+@_trainer
+def cmd_train_latent(args, cfg, scenes):
     vq_result = vq.load_vqvae(args.vqvae)
     trans = UniformTransition(vq_result.config.num_codes,
                               make_schedule(cfg.schedule, cfg.num_steps))
@@ -112,41 +128,28 @@ def cmd_train_latent(args):
         scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs,
         batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
         hidden=tuple(cfg.hidden), log=print)
-    dn.save_denoiser(args.out, params, config,
-                     extra={"schedule": cfg.schedule, "T": cfg.num_steps,
-                            "w0": cfg.w0, "mode": "latent", "vqvae": str(args.vqvae)})
-    print(f"saved checkpoint {args.out}")
+    return _denoiser_saver(params, config, cfg, mode="latent", vqvae=str(args.vqvae))
 
 
-def cmd_train_baseline(args):
-    cfg = load_run_config(args.config, _overrides(args), log=print)
-    scenes, _ = _load_dataset(args.data)
+@_trainer
+def cmd_train_baseline(args, cfg, scenes):
     tasks = ssc_mod.build_tasks(scenes, cfg.sparsity_rate, cfg.seed)
-    config = dn.DenoiserConfig(num_classes=cfg.num_classes,
-                               in_channels=cfg.num_classes + 1,
-                               hidden=tuple(cfg.hidden), num_steps=cfg.num_steps)
+    config = _denoiser_config(cfg, cfg.num_classes + 1)
     params, _ = ssc_mod.train_baseline(tasks, config, cfg.seed, epochs=cfg.epochs,
                                        batch_size=cfg.batch_size, lr=cfg.lr, log=print)
-    dn.save_denoiser(args.out, params, config,
-                     extra={"mode": "baseline", "sparsity_rate": cfg.sparsity_rate})
-    print(f"saved checkpoint {args.out}")
+    extra = {"mode": "baseline", "sparsity_rate": cfg.sparsity_rate}
+    return lambda path: dn.save_denoiser(path, params, config, extra=extra)
 
 
-def cmd_train_conditional(args):
-    cfg = load_run_config(args.config, _overrides(args), log=print)
-    scenes, _ = _load_dataset(args.data)
+@_trainer
+def cmd_train_conditional(args, cfg, scenes):
     tasks = ssc_mod.build_tasks(scenes, cfg.sparsity_rate, cfg.seed)
-    config = dn.DenoiserConfig(num_classes=cfg.num_classes,
-                               in_channels=cfg.num_classes + 1,
-                               hidden=tuple(cfg.hidden), num_steps=cfg.num_steps)
+    config = _denoiser_config(cfg, cfg.num_classes + 1)
     params, _ = ssc_mod.train_conditional(tasks, config, _transition(cfg), cfg.seed,
                                           epochs=cfg.epochs, batch_size=cfg.batch_size,
                                           lr=cfg.lr, w0=cfg.w0, log=print)
-    dn.save_denoiser(args.out, params, config,
-                     extra={"schedule": cfg.schedule, "T": cfg.num_steps,
-                            "w0": cfg.w0, "mode": "conditional",
-                            "sparsity_rate": cfg.sparsity_rate})
-    print(f"saved checkpoint {args.out}")
+    return _denoiser_saver(params, config, cfg, mode="conditional",
+                           sparsity_rate=cfg.sparsity_rate)
 
 
 def _table_for(k: int) -> ClassTable:

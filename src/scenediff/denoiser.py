@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diffusion import UniformTransition, diffusion_loss_and_grad, q_marginal, sample_field
-from .errors import CheckpointError, TrainingDiverged
+from .errors import CheckpointError
 from .grids import CategoricalField, VoxelGrid, one_hot
 
 
@@ -31,6 +31,8 @@ class DenoiserConfig:
     num_steps: int = 100  # T, for the embedding range
 
     def __post_init__(self):
+        if len(self.hidden) != 2:
+            raise ValueError(f"hidden must hold 2 stage widths, got {self.hidden}")
         if self.kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
         if self.in_channels not in (self.num_classes, self.num_classes + 1):
@@ -149,6 +151,29 @@ def as_denoiser_fn(params: dict, config: DenoiserConfig):
     return fn
 
 
+def _diffusion_loss(config: DenoiserConfig, trans: UniformTransition, w0: float,
+                    rng: np.random.Generator):
+    """Per-example hybrid loss for `nn.batch_step`/`nn.fit`.
+
+    An example is an (x0, condition-or-None) pair. Each call draws the timestep
+    uniformly, then x_t from q(x_t | x0), both from `rng`.
+    """
+    k = config.num_classes
+
+    def loss_and_grads(params, example):
+        x0, condition = example
+        t = int(rng.integers(1, trans.schedule.num_steps + 1))
+        x_t = sample_field(q_marginal(one_hot(x0, k), t, trans), rng)
+        x_in = build_input(x_t, config, condition)
+        logits, cache = forward(params, config, x_in, t, with_cache=True)
+        loss, vb, aux, dlogits = diffusion_loss_and_grad(
+            x0, t, CategoricalField(logits), x_t, w0, trans)
+        record = {"loss": loss, "vb": vb, "aux": aux}
+        return record, backward(params, config, cache, dlogits.probs)
+
+    return loss_and_grads
+
+
 def train_step(params: dict, opt_state: nn.AdamState, batch, config: DenoiserConfig,
                trans: UniformTransition, w0: float, rng: np.random.Generator,
                lr: float = 1e-3):
@@ -157,53 +182,26 @@ def train_step(params: dict, opt_state: nn.AdamState, batch, config: DenoiserCon
     `batch` is a sequence of (x0, condition-or-None) pairs; the timestep is
     drawn uniformly per example. Returns (params', opt_state, record).
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    k = config.num_classes
-    total = vb = aux = 0.0
-    grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
-    for x0, condition in batch:
-        t = int(rng.integers(1, trans.schedule.num_steps + 1))
-        x_t = sample_field(q_marginal(one_hot(x0, k), t, trans), rng)
-        x_in = build_input(x_t, config, condition)
-        logits, cache = forward(params, config, x_in, t, with_cache=True)
-        loss, vb_i, aux_i, dlogits = diffusion_loss_and_grad(
-            x0, t, CategoricalField(logits), x_t, w0, trans)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss {loss} at step t={t}")
-        total += loss
-        vb += vb_i
-        aux += aux_i
-        grads = backward(params, config, cache, dlogits.probs)
-        for name in grad_sum:
-            grad_sum[name] += grads[name]
-    n = len(batch)
-    for name in grad_sum:
-        grad_sum[name] /= n
-    new_params = nn.adam_step(params, grad_sum, opt_state, lr=lr)
-    record = {"loss": total / n, "vb": vb / n, "aux": aux / n}
+    new_params, record = nn.batch_step(params, opt_state, batch,
+                                       _diffusion_loss(config, trans, w0, rng), lr)
     return new_params, opt_state, record
+
+
+def fit_diffusion(examples, config: DenoiserConfig, trans: UniformTransition, seed: int,
+                  epochs: int, batch_size: int, lr: float, w0: float, log=None):
+    """Diffusion training on (x0, condition-or-None) pairs from a fresh init.
+    Returns (params, epoch losses)."""
+    rng = np.random.default_rng(seed)
+    return nn.fit(init_params(config, seed), _diffusion_loss(config, trans, w0, rng),
+                  examples, rng, epochs, batch_size, lr, log)
 
 
 def train_diffusion(dataset, config: DenoiserConfig, trans: UniformTransition,
                     seed: int, epochs: int = 10, batch_size: int = 8,
                     lr: float = 1e-3, w0: float = 1e-3, log=None):
     """Unconditional diffusion training loop. Returns (params, epoch losses)."""
-    rng = np.random.default_rng(seed)
-    params = init_params(config, seed)
-    opt = nn.AdamState()
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [(dataset[i], None) for i in order[start : start + batch_size]]
-            params, opt, rec = train_step(params, opt, batch, config, trans, w0, rng, lr)
-            losses.append(rec["loss"])
-        history.append(float(np.mean(losses)))
-        if log:
-            log(f"epoch {epoch + 1} loss {history[-1]:.4f}")
-    return params, history
+    return fit_diffusion([(g, None) for g in dataset], config, trans, seed,
+                         epochs, batch_size, lr, w0, log)
 
 
 def save_denoiser(path, params: dict, config: DenoiserConfig, extra: dict | None = None):

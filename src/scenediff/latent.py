@@ -45,20 +45,8 @@ def train_latent_denoiser(dataset, vq: VQVAETrainResult, trans: UniformTransitio
     config = dn.DenoiserConfig(num_classes=n, in_channels=n, hidden=hidden,
                                num_steps=trans.schedule.num_steps)
     index_grids = encode_dataset(vq, dataset)
-    rng = np.random.default_rng(seed)
-    params = dn.init_params(config, seed)
-    opt = nn.AdamState()
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(index_grids))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [(index_grids[i], None) for i in order[start : start + batch_size]]
-            params, opt, rec = dn.train_step(params, opt, batch, config, trans, w0, rng, lr)
-            losses.append(rec["loss"])
-        history.append(float(np.mean(losses)))
-        if log:
-            log(f"epoch {epoch + 1} loss {history[-1]:.4f}")
+    params, history = dn.fit_diffusion([(g, None) for g in index_grids], config, trans, seed,
+                                       epochs, batch_size, lr, w0, log)
     return params, config, history
 
 

@@ -52,6 +52,22 @@ def report_from_counts(inter: np.ndarray, union: np.ndarray, comp: float) -> Met
     return MetricsReport(per_class, miou_from_per_class(per_class), comp)
 
 
+def report_from_pairs(pairs, num_classes: int) -> MetricsReport:
+    """Per-class IoU and completion IoU over (pred, gt) pairs, counts summed
+    across all pairs before dividing. Reads each pair once."""
+    inter = np.zeros(num_classes, dtype=np.int64)
+    union = np.zeros(num_classes, dtype=np.int64)
+    occ_i = occ_u = 0
+    for pred, gt in pairs:
+        i, u = iou_counts(pred, gt, num_classes)
+        inter += i
+        union += u
+        po, go = pred.occupancy(), gt.occupancy()
+        occ_i += np.count_nonzero(po & go)
+        occ_u += np.count_nonzero(po | go)
+    return report_from_counts(inter, union, occ_i / occ_u if occ_u else 1.0)
+
+
 def mean_iou(pred: VoxelGrid, gt: VoxelGrid, table: ClassTable) -> MetricsReport:
     """Per-class IoU over all K classes; classes absent from both grids are
     excluded from the mean (marked NaN)."""

@@ -6,6 +6,9 @@ Two conv flavors are used by the models:
 
 Layouts are channels-last: activations (X, Y, Z, C); same-conv weights
 (k, k, k, Cin, Cout); patch weights (prod(stride) * Cin, Cout).
+
+Adam and the one minibatch training loop (`batch_step`, `fit`) that every
+model trains with live here too.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import TrainingDiverged
 
 
 def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,3 +161,54 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-3,
         vhat = v / (1 - beta2 ** t)
         out[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
     return out
+
+
+def batch_step(params: dict, opt_state: AdamState, batch, loss_and_grads, lr: float):
+    """One Adam step on the batch-mean gradient.
+
+    `loss_and_grads(params, example)` returns (record, grads), where `record`
+    maps names to floats and holds at least "loss". Gradients are summed in
+    batch order, then divided by the batch size. Returns (params', mean record).
+    """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    totals = {}
+    grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
+    for example in batch:
+        record, grads = loss_and_grads(params, example)
+        if not np.isfinite(record["loss"]):
+            raise TrainingDiverged(f"non-finite loss {record['loss']}")
+        for key, value in record.items():
+            totals[key] = totals.get(key, 0.0) + value
+        for name in grad_sum:
+            grad_sum[name] += grads[name]
+    n = len(batch)
+    for name in grad_sum:
+        grad_sum[name] /= n
+    return adam_step(params, grad_sum, opt_state, lr=lr), {k: v / n for k, v in totals.items()}
+
+
+def fit(params: dict, loss_and_grads, data, rng: np.random.Generator, epochs: int,
+        batch_size: int, lr: float, log=None, end_epoch=None):
+    """Minibatch Adam over `data`, reshuffled each epoch from `rng`.
+
+    `end_epoch(params)`, if given, runs after each epoch's last step and
+    returns (params', text appended to the log line). Returns (params, history),
+    the history holding each epoch's mean of the batch-mean losses.
+    """
+    opt = AdamState()
+    history = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(data))
+        losses = []
+        for start in range(0, len(order), batch_size):
+            batch = [data[i] for i in order[start : start + batch_size]]
+            params, record = batch_step(params, opt, batch, loss_and_grads, lr)
+            losses.append(record["loss"])
+        note = ""
+        if end_epoch:
+            params, note = end_epoch(params)
+        history.append(float(np.mean(losses)))
+        if log:
+            log(f"epoch {epoch + 1} loss {history[-1]:.4f}{note}")
+    return params, history

@@ -41,16 +41,15 @@ def rle_encode(labels: np.ndarray) -> bytes:
 
 
 def rle_decode(payload: bytes, expected: int) -> np.ndarray:
+    """Inverse of rle_encode. The run counts are checked against `expected`
+    before any run is expanded, so memory stays bounded by the declared dims."""
     if len(payload) % 5 != 0:
         raise SceneFormatError("truncated RLE payload")
-    chunks = []
-    for i in range(0, len(payload), 5):
-        count, label = struct.unpack_from("<IB", payload, i)
-        chunks.append(np.full(count, label, dtype=np.uint8))
-    labels = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-    if labels.size != expected:
-        raise SceneFormatError(f"RLE payload decodes to {labels.size} voxels, expected {expected}")
-    return labels
+    runs = np.frombuffer(payload, dtype=[("count", "<u4"), ("label", "u1")])
+    total = int(runs["count"].sum(dtype=np.uint64))
+    if total != expected:
+        raise SceneFormatError(f"RLE payload decodes to {total} voxels, expected {expected}")
+    return np.repeat(runs["label"], runs["count"])
 
 
 def save_scene(grid: VoxelGrid, table: ClassTable, path, rle: bool = True):

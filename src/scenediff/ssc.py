@@ -11,9 +11,8 @@ import numpy as np
 from . import denoiser as dn
 from . import nn
 from .diffusion import sample_loop, softmax
-from .errors import TrainingDiverged
 from .grids import CategoricalField, ClassTable, VoxelGrid, argmax_decode, one_hot, sparsify
-from .metrics import inverse_frequency_weights, iou_counts, report_from_counts
+from .metrics import inverse_frequency_weights, report_from_pairs
 from .schedule import UniformTransition
 
 BASELINE_TIMESTEP = 0  # fixed embedding input so parameter counts match exactly
@@ -43,22 +42,8 @@ def train_conditional(tasks, config: dn.DenoiserConfig, trans: UniformTransition
     forward call. Returns (params, per-epoch mean losses)."""
     if not config.conditioned:
         raise ValueError("conditional training needs a K+1-channel denoiser")
-    rng = np.random.default_rng(seed)
-    params = dn.init_params(config, seed)
-    opt = nn.AdamState()
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(tasks))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [(tasks[i].target, tasks[i].condition)
-                     for i in order[start : start + batch_size]]
-            params, opt, rec = dn.train_step(params, opt, batch, config, trans, w0, rng, lr)
-            losses.append(rec["loss"])
-        history.append(float(np.mean(losses)))
-        if log:
-            log(f"epoch {epoch + 1} loss {history[-1]:.4f}")
-    return params, history
+    return dn.fit_diffusion([(task.target, task.condition) for task in tasks], config, trans,
+                            seed, epochs, batch_size, lr, w0, log)
 
 
 def complete(params: dict, config: dn.DenoiserConfig, trans: UniformTransition,
@@ -83,42 +68,21 @@ def train_baseline(tasks, config: dn.DenoiserConfig, seed: int, epochs: int = 10
         raise ValueError("baseline needs the K+1-channel architecture")
     if weights is None:
         weights = inverse_frequency_weights([t.target for t in tasks], config.num_classes)
+
+    def loss_and_grads(params, task):
+        x_in = _baseline_input(task.condition, config)
+        logits, cache = dn.forward(params, config, x_in, BASELINE_TIMESTEP, with_cache=True)
+        target = one_hot(task.target, config.num_classes).probs
+        p = softmax(logits)
+        logp = np.log(np.maximum(p, 1e-12))
+        loss = float(-np.mean((weights * target * logp).sum(axis=-1)))
+        wsum = (weights * target).sum(axis=-1, keepdims=True)
+        dlogits = (p * wsum - weights * target) / task.target.num_voxels
+        return {"loss": loss}, dn.backward(params, config, cache, dlogits)
+
     rng = np.random.default_rng(seed)
-    params = dn.init_params(config, seed)
-    opt = nn.AdamState()
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(tasks))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [tasks[i] for i in order[start : start + batch_size]]
-            grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
-            batch_loss = 0.0
-            for task in batch:
-                x_in = _baseline_input(task.condition, config)
-                logits, cache = dn.forward(params, config, x_in, BASELINE_TIMESTEP,
-                                           with_cache=True)
-                target = one_hot(task.target, config.num_classes).probs
-                p = softmax(logits)
-                logp = np.log(np.maximum(p, 1e-12))
-                nvox = task.target.num_voxels
-                loss = float(-np.mean((weights * target * logp).sum(axis=-1)))
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"non-finite baseline loss {loss}")
-                batch_loss += loss
-                wsum = (weights * target).sum(axis=-1, keepdims=True)
-                dlogits = (p * wsum - weights * target) / nvox
-                grads = dn.backward(params, config, cache, dlogits)
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
-            for name in grad_sum:
-                grad_sum[name] /= len(batch)
-            params = nn.adam_step(params, grad_sum, opt, lr=lr)
-            losses.append(batch_loss / len(batch))
-        history.append(float(np.mean(losses)))
-        if log:
-            log(f"epoch {epoch + 1} loss {history[-1]:.4f}")
-    return params, history
+    return nn.fit(dn.init_params(config, seed), loss_and_grads, tasks, rng,
+                  epochs, batch_size, lr, log)
 
 
 def baseline_predict(params: dict, config: dn.DenoiserConfig,
@@ -181,21 +145,9 @@ def evaluate(methods: dict, tasks, table: ClassTable, seed: int = 0) -> Evaluati
     """
     if not methods or len(tasks) == 0:
         raise ValueError("need at least one method and one task")
-    k = table.num_classes
     result = EvaluationResult(table)
     for name, fn in methods.items():
-        inter = np.zeros(k, dtype=np.int64)
-        union = np.zeros(k, dtype=np.int64)
-        occ_i = occ_u = 0
-        for tid, task in enumerate(tasks):
-            rng = np.random.default_rng((seed, tid))
-            pred = fn(task, rng)
-            i, u = iou_counts(pred, task.target, k)
-            inter += i
-            union += u
-            po, go = pred.occupancy(), task.target.occupancy()
-            occ_i += np.count_nonzero(po & go)
-            occ_u += np.count_nonzero(po | go)
-        comp = occ_i / occ_u if occ_u else 1.0
-        result.reports[name] = report_from_counts(inter, union, comp)
+        pairs = ((fn(task, np.random.default_rng((seed, tid))), task.target)
+                 for tid, task in enumerate(tasks))
+        result.reports[name] = report_from_pairs(pairs, table.num_classes)
     return result

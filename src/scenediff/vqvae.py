@@ -16,10 +16,9 @@ import numpy as np
 from . import nn
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diffusion import softmax
-from .errors import CheckpointError, TrainingDiverged
+from .errors import CheckpointError
 from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
-from .metrics import inverse_frequency_weights, iou_counts, report_from_counts
-from .grids import MetricsReport
+from .metrics import inverse_frequency_weights, report_from_pairs
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,8 @@ class VQVAEConfig:
     beta_commit: float = 0.25
 
     def __post_init__(self):
+        if len(self.strides) != 2 or any(len(s) != 3 for s in self.strides):
+            raise ValueError(f"strides must hold 2 stages of 3 ints, got {self.strides}")
         if self.num_codes < 2:
             raise ValueError("need at least 2 codes")
 
@@ -184,22 +185,6 @@ def reconstruct(params: dict, config: VQVAEConfig, grid: VoxelGrid) -> VoxelGrid
     return argmax_decode(CategoricalField(logits))
 
 
-def _epoch_metrics(params, config, scenes) -> MetricsReport:
-    inter = np.zeros(config.num_classes, dtype=np.int64)
-    union = np.zeros(config.num_classes, dtype=np.int64)
-    occ_i = occ_u = 0
-    for g in scenes:
-        rec = reconstruct(params, config, g)
-        i, u = iou_counts(rec, g, config.num_classes)
-        inter += i
-        union += u
-        po, go = rec.occupancy(), g.occupancy()
-        occ_i += np.count_nonzero(po & go)
-        occ_u += np.count_nonzero(po | go)
-    comp = occ_i / occ_u if occ_u else 1.0
-    return report_from_counts(inter, union, comp)
-
-
 def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
                 batch_size: int = 8, lr: float = 1e-3, dead_code_threshold: int = 1,
                 metrics_subset: int = 32, log=None) -> VQVAETrainResult:
@@ -207,46 +192,35 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
-    params = init_params(config, seed)
     weights = inverse_frequency_weights(dataset, config.num_classes)
-    opt = nn.AdamState()
-    history = []
     eval_scenes = dataset[: min(len(dataset), metrics_subset)]
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        usage = np.zeros(config.num_codes, dtype=np.int64)
-        buffer = []
-        for start in range(0, len(order), batch_size):
-            batch = [dataset[i] for i in order[start : start + batch_size]]
-            grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
-            batch_loss = 0.0
-            for g in batch:
-                x = one_hot(g, config.num_classes)
-                z, enc_cache = encode(params, config, x, with_cache=True)
-                zq, idx = quantize(params["codes"], z)
-                logits, dec_cache = decode(params, config, zq, with_cache=True)
-                total, *_ = vqvae_loss(x, logits, z, zq, weights, config.beta_commit)
-                if not np.isfinite(total):
-                    raise TrainingDiverged(f"non-finite VQ-VAE loss {total}")
-                batch_loss += total
-                usage += np.bincount(idx.reshape(-1), minlength=config.num_codes)
-                buffer.append(z.reshape(-1, config.code_dim))
-                grads = vqvae_grads(params, config, x, enc_cache, dec_cache,
-                                    z, zq, idx, weights)
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
-            for name in grad_sum:
-                grad_sum[name] /= len(batch)
-            params = nn.adam_step(params, grad_sum, opt, lr=lr)
-        latents = np.concatenate(buffer, axis=0)
+    usage = np.zeros(config.num_codes, dtype=np.int64)
+    buffer = []
+    reports = []
+
+    def loss_and_grads(params, g):
+        x = one_hot(g, config.num_classes)
+        z, enc_cache = encode(params, config, x, with_cache=True)
+        zq, idx = quantize(params["codes"], z)
+        logits, dec_cache = decode(params, config, zq, with_cache=True)
+        total, *_ = vqvae_loss(x, logits, z, zq, weights, config.beta_commit)
+        usage[:] += np.bincount(idx.reshape(-1), minlength=config.num_codes)
+        buffer.append(z.reshape(-1, config.code_dim))
+        grads = vqvae_grads(params, config, x, enc_cache, dec_cache, z, zq, idx, weights)
+        return {"loss": total}, grads
+
+    def end_epoch(params):
         params["codes"], _ = reinit_dead_codes(
-            params["codes"], usage, latents, dead_code_threshold, rng)
-        report = _epoch_metrics(params, config, eval_scenes)
-        history.append(report)
-        if log:
-            log(f"epoch {epoch + 1} loss {batch_loss / max(1, len(batch)):.4f} "
-                f"miou {report.miou:.4f}")
-    return VQVAETrainResult(params, config, weights, history)
+            params["codes"], usage, np.concatenate(buffer, axis=0), dead_code_threshold, rng)
+        usage[:] = 0
+        buffer.clear()
+        recons = ((reconstruct(params, config, g), g) for g in eval_scenes)
+        reports.append(report_from_pairs(recons, config.num_classes))
+        return params, f" miou {reports[-1].miou:.4f}"
+
+    params, _ = nn.fit(init_params(config, seed), loss_and_grads, dataset, rng,
+                       epochs, batch_size, lr, log, end_epoch)
+    return VQVAETrainResult(params, config, weights, reports)
 
 
 def save_vqvae(path, result: VQVAETrainResult, extra: dict | None = None):

@@ -87,6 +87,20 @@ def test_cli_errors_print_prefix_and_exit_nonzero(tmp_path, capsys):
     assert "error:" in out and "unknown key" in out
 
 
+def test_train_rejects_wrong_stage_counts(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--scenes", "2", "--dims", "8x8x4",
+                "--classes", "4"]) == 0
+    capsys.readouterr()
+    for command, setting, field in (("train-diffusion", "hidden=4,4,4", "hidden"),
+                                    ("train-vqvae", "vq_strides=2,2,1;2,2,1;1,1,1", "strides")):
+        assert run([command, "--data", str(data), "--out", str(tmp_path / "x.vxdn"),
+                    "--set", "num_classes=4", "--set", setting]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and len(out.splitlines()) == 1
+        assert field in out
+
+
 def test_export_empty_scene(tmp_path):
     table = toy_class_table(3)
     path = tmp_path / "empty.vxsc"

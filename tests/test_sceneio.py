@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,21 @@ def test_label_out_of_table_range(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(SceneFormatError):
         load_scene(path)
+
+
+def test_rle_claim_beyond_dims_is_rejected_before_allocation(tmp_path):
+    path = tmp_path / "x.vxsc"
+    save_scene(VoxelGrid(np.zeros((1, 1, 1), dtype=int)), toy_class_table(2), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-5] + struct.pack("<IB", 50_000_000, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SceneFormatError, match="50000000"):
+            load_scene(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_export_ply_counts_and_palette(tmp_path):

@@ -165,6 +165,35 @@ def test_training_determinism():
         vq.train_vqvae([], config, seed=0)
 
 
+def test_logged_loss_is_the_epoch_mean():
+    # Scenes of very different content make the last batch's mean differ from
+    # the epoch's. With lr=0 every loss is taken at the initial parameters.
+    data = generate_toy_dataset(ToySceneParams(dims=(8, 8, 4), num_classes=4,
+                                               num_buildings=1, num_vehicles=0,
+                                               num_poles=0), 3, 5)
+    data.append(VoxelGrid(np.zeros((8, 8, 4), dtype=int)))
+    config = vq.VQVAEConfig(num_classes=4, num_codes=8, code_dim=3, hidden=6)
+    lines = []
+    vq.train_vqvae(data, config, seed=2, epochs=1, batch_size=2, lr=0.0, log=lines.append)
+    params = vq.init_params(config, 2)
+    weights = inverse_frequency_weights(data, 4)
+    losses = []
+    for g in data:
+        x = one_hot(g, 4)
+        z = vq.encode(params, config, x)
+        zq, _ = vq.quantize(params["codes"], z)
+        losses.append(vq.vqvae_loss(x, vq.decode(params, config, zq), z, zq, weights,
+                                    config.beta_commit)[0])
+    assert len(lines) == 1 and lines[0].startswith("epoch 1 loss ")
+    assert float(lines[0].split()[3]) == pytest.approx(np.mean(losses), abs=5e-5)
+
+
+def test_config_rejects_wrong_stride_stages():
+    for strides in (((2, 2, 1), (2, 2, 2), (1, 1, 1)), ((2, 2, 1),), ((2, 2), (2, 2, 2))):
+        with pytest.raises(ValueError, match="strides"):
+            vq.VQVAEConfig(num_classes=4, strides=strides)
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     params = vq.init_params(SMALL, 1)
