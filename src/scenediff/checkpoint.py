@@ -1,15 +1,25 @@
-"""Versioned "VXDN" checkpoint container: metadata lines + named float32 arrays.
+"""Versioned "VXDN" checkpoint container, and the one schema every model file uses.
 
 Layout (little-endian):
     magic "VXDN" | version u16 = 1
     metadata: u32 byte-length, UTF-8 "key=value" lines
     u32 array count, then per array:
         u16 name length + name | u8 ndim | ndim x u32 shape | float32 payload
+
+A model file (`save_model`/`load_model`) holds these metadata keys:
+    kind    the model kind, "denoiser" or "vqvae"
+    config  the model's config dataclass as one JSON object
+    ...     free string extras (e.g. a diffusion model's schedule and w0)
+and exactly the arrays, by name and shape, that its config implies. Files
+written before configs were stored as JSON have no `config` key and are
+rejected; retrain them.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +87,35 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if off != len(data):
         raise CheckpointError("trailing bytes in checkpoint")
     return params, metadata
+
+
+def save_model(path, kind: str, params: dict[str, np.ndarray], config,
+               extra: dict | None = None):
+    """Write a model file: `kind`, `config` as JSON, extras as strings."""
+    meta = {k: str(v) for k, v in (extra or {}).items()}
+    meta.update(kind=kind, config=json.dumps(asdict(config)))
+    save_checkpoint(path, params, meta)
+
+
+def load_model(path, kind: str, config_cls, param_shapes):
+    """Read a model file of the given kind. Returns (params, config, metadata).
+
+    The config is rebuilt as `config_cls(**json)`, so its `__post_init__` does
+    the validation, and the arrays must have exactly the names and shapes that
+    `param_shapes(config)` gives. Every failure raises CheckpointError.
+    """
+    params, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"not a {kind} checkpoint (kind {meta.get('kind')!r})")
+    if "config" not in meta:
+        raise CheckpointError(f"{kind} checkpoint has no JSON config; retrain it")
+    try:
+        config = config_cls(**json.loads(meta["config"]))
+        expected = param_shapes(config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad {kind} config: {exc}") from exc
+    shapes = {name: a.shape for name, a in params.items()}
+    if shapes != expected:
+        bad = sorted(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
+        raise CheckpointError(f"{kind} arrays do not match its config: {', '.join(bad)}")
+    return params, config, meta

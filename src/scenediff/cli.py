@@ -20,7 +20,6 @@ from . import vqvae as vq
 from .config import load_run_config
 from .errors import CheckpointError, ConfigError, SceneFormatError, TrainingDiverged
 from .grids import ClassTable, VoxelGrid
-from .metrics import inverse_frequency_weights
 from .sceneio import export_ply, export_slices, load_scene, save_scene
 from .schedule import UniformTransition, make_schedule
 from .toydata import ToySceneParams, generate_toy_scene, toy_class_table
@@ -91,12 +90,12 @@ def _trainer(train):
 
 def _denoiser_config(cfg, in_channels: int) -> dn.DenoiserConfig:
     return dn.DenoiserConfig(num_classes=cfg.num_classes, in_channels=in_channels,
-                             hidden=tuple(cfg.hidden), num_steps=cfg.num_steps)
+                             hidden=cfg.hidden, num_steps=cfg.num_steps)
 
 
 def _denoiser_saver(params, config, cfg, **extra):
-    """Saver for a diffusion denoiser; records its schedule, T and w0."""
-    extra = dict(schedule=cfg.schedule, T=cfg.num_steps, w0=cfg.w0, **extra)
+    """Saver for a diffusion denoiser; records its schedule and w0."""
+    extra = dict(schedule=cfg.schedule, w0=cfg.w0, **extra)
     return lambda path: dn.save_denoiser(path, params, config, extra=extra)
 
 
@@ -127,7 +126,7 @@ def cmd_train_latent(args, cfg, scenes):
     params, config, _ = lat.train_latent_denoiser(
         scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs,
         batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
-        hidden=tuple(cfg.hidden), log=print)
+        hidden=cfg.hidden, log=print)
     return _denoiser_saver(params, config, cfg, mode="latent", vqvae=str(args.vqvae))
 
 
@@ -152,15 +151,15 @@ def cmd_train_conditional(args, cfg, scenes):
                            sparsity_rate=cfg.sparsity_rate)
 
 
-def _table_for(k: int) -> ClassTable:
-    return toy_class_table(k)
+def _load_diffusion(path):
+    """(params, config, transition) of a diffusion denoiser checkpoint."""
+    params, config, meta = dn.load_denoiser(path)
+    schedule = make_schedule(meta.get("schedule", "cosine"), config.num_steps)
+    return params, config, UniformTransition(config.num_classes, schedule)
 
 
 def cmd_sample(args):
-    params, config, meta = dn.load_denoiser(args.ckpt)
-    t_steps = int(meta.get("T", config.num_steps))
-    kind = meta.get("schedule", "cosine")
-    trans = UniformTransition(config.num_classes, make_schedule(kind, t_steps))
+    params, config, trans = _load_diffusion(args.ckpt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dims = tuple(int(v) for v in args.dims.replace("x", ",").split(","))
@@ -169,26 +168,23 @@ def cmd_sample(args):
         rng = np.random.default_rng((args.seed, i))
         if vq_result is not None:
             grid = lat.sample_latent(params, config, vq_result, dims, trans, rng)
-            table = _table_for(vq_result.config.num_classes)
+            table = toy_class_table(vq_result.config.num_classes)
         else:
             from .diffusion import sample_loop
             grid = sample_loop(dn.as_denoiser_fn(params, config), dims, trans, rng)
-            table = _table_for(config.num_classes)
+            table = toy_class_table(config.num_classes)
         save_scene(grid, table, out / f"sample_{i:04d}.vxsc")
     print(f"wrote {args.count} samples to {out}")
 
 
 def cmd_complete(args):
-    params, config, meta = dn.load_denoiser(args.ckpt)
+    params, config, trans = _load_diffusion(args.ckpt)
     if not config.conditioned:
         raise CheckpointError("checkpoint is not a conditional model")
-    t_steps = int(meta.get("T", config.num_steps))
-    trans = UniformTransition(config.num_classes,
-                              make_schedule(meta.get("schedule", "cosine"), t_steps))
-    condition, table = load_scene(args.condition)
+    condition, _ = load_scene(args.condition)
     rng = np.random.default_rng(args.seed)
     grid = ssc_mod.complete(params, config, trans, condition, rng)
-    save_scene(grid, _table_for(config.num_classes), args.out)
+    save_scene(grid, toy_class_table(config.num_classes), args.out)
     print(f"wrote completion to {args.out}")
 
 
@@ -206,10 +202,7 @@ def cmd_eval(args):
             methods["baseline"] = (
                 lambda task, rng, p=params, c=config: ssc_mod.baseline_predict(p, c, task.condition))
         elif name == "diffusion":
-            params, config, meta = dn.load_denoiser(ckpt)
-            trans = UniformTransition(config.num_classes,
-                                      make_schedule(meta.get("schedule", "cosine"),
-                                                    int(meta.get("T", config.num_steps))))
+            params, config, trans = _load_diffusion(ckpt)
             methods["diffusion"] = (
                 lambda task, rng, p=params, c=config, tr=trans:
                 ssc_mod.complete(p, c, tr, task.condition, rng))

@@ -9,12 +9,12 @@ hand-written gradients so they can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .diffusion import UniformTransition, diffusion_loss_and_grad, q_marginal, sample_field
 from .errors import CheckpointError
 from .grids import CategoricalField, VoxelGrid, one_hot
@@ -31,6 +31,7 @@ class DenoiserConfig:
     num_steps: int = 100  # T, for the embedding range
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if len(self.hidden) != 2:
             raise ValueError(f"hidden must hold 2 stage widths, got {self.hidden}")
         if self.kernel % 2 == 0:
@@ -43,28 +44,22 @@ class DenoiserConfig:
         return self.in_channels == self.num_classes + 1
 
 
+def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in init draw order."""
+    k, (h1, h2), d, dh = config.kernel, config.hidden, config.time_dim, config.time_hidden
+    shapes = {}
+    for name, cin, cout in (("enc1", config.in_channels, h1), ("enc2", h1, h2),
+                            ("dec1", h2, h1), ("out", h1, config.num_classes)):
+        shapes[f"{name}_w"], shapes[f"{name}_b"] = (k, k, k, cin, cout), (cout,)
+    shapes.update(temb_w1=(d, dh), temb_b1=(dh,),
+                  temb_w2=(dh, h1 + h2 + h1), temb_b2=(h1 + h2 + h1,))
+    return shapes
+
+
 def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
-    """Fan-in-scaled uniform init, deterministic given the seed."""
+    """Fan-in-scaled uniform weights and zero biases, deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    k, (h1, h2) = config.kernel, config.hidden
-    cin, kk = config.in_channels, config.kernel ** 3
-
-    def conv(cin_, cout_):
-        fan = kk * cin_
-        return (nn.fan_in_uniform(rng, (k, k, k, cin_, cout_), fan),
-                np.zeros(cout_))
-
-    params = {}
-    params["enc1_w"], params["enc1_b"] = conv(cin, h1)
-    params["enc2_w"], params["enc2_b"] = conv(h1, h2)
-    params["dec1_w"], params["dec1_b"] = conv(h2, h1)
-    params["out_w"], params["out_b"] = conv(h1, config.num_classes)
-    d, dh = config.time_dim, config.time_hidden
-    params["temb_w1"] = nn.fan_in_uniform(rng, (d, dh), d)
-    params["temb_b1"] = np.zeros(dh)
-    params["temb_w2"] = nn.fan_in_uniform(rng, (dh, h1 + h2 + h1), dh)
-    params["temb_b2"] = np.zeros(h1 + h2 + h1)
-    return params
+    return {name: nn.init_param(rng, shape) for name, shape in param_shapes(config).items()}
 
 
 def _time_bias(params, config: DenoiserConfig, t: int):
@@ -205,36 +200,12 @@ def train_diffusion(dataset, config: DenoiserConfig, trans: UniformTransition,
 
 
 def save_denoiser(path, params: dict, config: DenoiserConfig, extra: dict | None = None):
-    meta = {f"config.{k}": str(v) for k, v in asdict(config).items()}
-    meta["kind"] = "denoiser"
-    if extra:
-        meta.update({k: str(v) for k, v in extra.items()})
-    save_checkpoint(path, params, meta)
-
-
-def config_from_metadata(meta: dict) -> DenoiserConfig:
-    def get(name, cast):
-        try:
-            return cast(meta[f"config.{name}"])
-        except KeyError as exc:
-            raise CheckpointError(f"missing config field {name}") from exc
-
-    hidden = tuple(int(v) for v in get("hidden", str).strip("()").split(",") if v.strip())
-    return DenoiserConfig(
-        num_classes=get("num_classes", int),
-        in_channels=get("in_channels", int),
-        hidden=hidden,
-        kernel=get("kernel", int),
-        time_dim=get("time_dim", int),
-        time_hidden=get("time_hidden", int),
-        num_steps=get("num_steps", int),
-    )
+    save_model(path, "denoiser", params, config, extra)
 
 
 def load_denoiser(path, expected_config: DenoiserConfig | None = None):
     """Returns (params, config, metadata); errors if an expected config differs."""
-    params, meta = load_checkpoint(path)
-    config = config_from_metadata(meta)
+    params, config, meta = load_model(path, "denoiser", DenoiserConfig, param_shapes)
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"config mismatch: checkpoint {config}, expected {expected_config}")
     return params, config, meta

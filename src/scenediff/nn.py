@@ -13,6 +13,7 @@ model trains with live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +117,10 @@ def relu_backward(x, dy):
     return np.where(x > 0, dy, 0.0)
 
 
-def sinusoidal_embedding(t: int, dim: int, max_period: float = 10000.0) -> np.ndarray:
-    """Standard sin/cos positional features of a (1-based) timestep."""
+def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
+    """Standard sin/cos positional features of a (1-based) timestep, periods up to 1e4."""
     half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = t * freqs
     emb = np.concatenate([np.sin(ang), np.cos(ang)])
     if dim % 2:
@@ -132,6 +133,13 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     checkpoint round-trips are exact."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32).astype(np.float64)
+
+
+def init_param(rng: np.random.Generator, shape) -> np.ndarray:
+    """Zeros for a bias (1-D); else `fan_in_uniform` over all but the last axis."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    return fan_in_uniform(rng, shape, math.prod(shape[:-1]))
 
 
 @dataclass

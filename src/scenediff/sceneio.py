@@ -20,32 +20,32 @@ from .grids import ClassTable, VoxelGrid
 MAGIC = b"VXSC"
 VERSION = 1
 FLAG_RLE = 1
+RUN = np.dtype([("count", "<u4"), ("label", "u1")])  # one packed 5-byte RLE pair
+RUN_MAX = 0xFFFFFFFF  # longest run one pair holds
 
 
 def rle_encode(labels: np.ndarray) -> bytes:
     """Run-length encode a flat u8 label array into (count u32, label u8) pairs."""
-    out = bytearray()
     if labels.size == 0:
-        return bytes(out)
-    boundaries = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [labels.size]))
-    for s, e in zip(starts, ends):
-        run = int(e - s)
-        # u32 caps a run; split oversized runs (only possible on huge grids)
-        while run > 0xFFFFFFFF:
-            out += struct.pack("<IB", 0xFFFFFFFF, int(labels[s]))
-            run -= 0xFFFFFFFF
-        out += struct.pack("<IB", run, int(labels[s]))
-    return bytes(out)
+        return b""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
+    counts = np.diff(np.append(starts, labels.size))
+    # u32 caps a run; split oversized runs (only possible on huge grids) into
+    # full pieces followed by the remainder
+    pieces = -(-counts // RUN_MAX)
+    runs = np.empty(int(pieces.sum()), dtype=RUN)
+    runs["count"] = RUN_MAX
+    runs["count"][np.cumsum(pieces) - 1] = counts - (pieces - 1) * RUN_MAX
+    runs["label"] = np.repeat(labels[starts], pieces)
+    return runs.tobytes()
 
 
 def rle_decode(payload: bytes, expected: int) -> np.ndarray:
     """Inverse of rle_encode. The run counts are checked against `expected`
     before any run is expanded, so memory stays bounded by the declared dims."""
-    if len(payload) % 5 != 0:
+    if len(payload) % RUN.itemsize != 0:
         raise SceneFormatError("truncated RLE payload")
-    runs = np.frombuffer(payload, dtype=[("count", "<u4"), ("label", "u1")])
+    runs = np.frombuffer(payload, dtype=RUN)
     total = int(runs["count"].sum(dtype=np.uint64))
     if total != expected:
         raise SceneFormatError(f"RLE payload decodes to {total} voxels, expected {expected}")
@@ -75,6 +75,8 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
     version, flags, x, y, z, k = struct.unpack_from("<HH3IH", data, 4)
     if version != VERSION:
         raise SceneFormatError(f"unsupported version {version}")
+    if k == 0:
+        raise SceneFormatError("empty class table")
     off = 22
     if len(data) < off + 3 * k:
         raise SceneFormatError("truncated palette")
@@ -90,7 +92,10 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
         off += 2
         if len(data) < off + n:
             raise SceneFormatError("truncated names block")
-        names.append(data[off : off + n].decode())
+        try:
+            names.append(data[off : off + n].decode())
+        except UnicodeDecodeError as exc:
+            raise SceneFormatError("class name is not UTF-8") from exc
         off += n
     expected = x * y * z
     payload = data[off:]

@@ -9,16 +9,19 @@ into a codebook term (updates codes) and a commitment term (updates encoder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .diffusion import softmax
-from .errors import CheckpointError
 from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
 from .metrics import inverse_frequency_weights, report_from_pairs
+
+DEAD_CODE_THRESHOLD = 1  # codes used fewer times in an epoch are reset
+METRICS_SUBSET = 32  # scenes in each epoch's reconstruction report
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,7 @@ class VQVAEConfig:
     beta_commit: float = 0.25
 
     def __post_init__(self):
+        object.__setattr__(self, "strides", tuple(tuple(s) for s in self.strides))
         if len(self.strides) != 2 or any(len(s) != 3 for s in self.strides):
             raise ValueError(f"strides must hold 2 stages of 3 ints, got {self.strides}")
         if self.num_codes < 2:
@@ -44,24 +48,25 @@ class VQVAEConfig:
         return (sx, sy, sz)
 
 
+def param_shapes(config: VQVAEConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in init draw order."""
+    k, h, d = config.num_classes, config.hidden, config.code_dim
+    p1, p2 = (math.prod(s) for s in config.strides)
+    return {"enc1_w": (p1 * k, h), "enc1_b": (h,), "enc2_w": (p2 * h, d), "enc2_b": (d,),
+            "dec1_w": (d, p2 * h), "dec1_b": (p2 * h,), "dec2_w": (h, p1 * k),
+            "dec2_b": (p1 * k,), "codes": (config.num_codes, d)}
+
+
 def init_params(config: VQVAEConfig, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    k, h, d, n = config.num_classes, config.hidden, config.code_dim, config.num_codes
-    s1, s2 = config.strides
-    p1, p2 = int(np.prod(s1)), int(np.prod(s2))
-    params = {
-        "enc1_w": nn.fan_in_uniform(rng, (p1 * k, h), p1 * k),
-        "enc1_b": np.zeros(h),
-        "enc2_w": nn.fan_in_uniform(rng, (p2 * h, d), p2 * h),
-        "enc2_b": np.zeros(d),
-        "dec1_w": nn.fan_in_uniform(rng, (d, p2 * h), d),
-        "dec1_b": np.zeros(p2 * h),
-        "dec2_w": nn.fan_in_uniform(rng, (h, p1 * k), h),
-        "dec2_b": np.zeros(p1 * k),
-        # codebook init: small uniform range, conventional for VQ layers
-        "codes": rng.uniform(-1.0 / n, 1.0 / n, size=(n, d)).astype(np.float32).astype(np.float64),
-    }
-    return params
+    n = config.num_codes
+
+    def init(name, shape):
+        if name == "codes":  # small uniform range, conventional for VQ layers
+            return rng.uniform(-1.0 / n, 1.0 / n, size=shape).astype(np.float32).astype(np.float64)
+        return nn.init_param(rng, shape)
+
+    return {name: init(name, shape) for name, shape in param_shapes(config).items()}
 
 
 def encode(params: dict, config: VQVAEConfig, x: CategoricalField, with_cache=False):
@@ -186,14 +191,13 @@ def reconstruct(params: dict, config: VQVAEConfig, grid: VoxelGrid) -> VoxelGrid
 
 
 def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
-                batch_size: int = 8, lr: float = 1e-3, dead_code_threshold: int = 1,
-                metrics_subset: int = 32, log=None) -> VQVAETrainResult:
+                batch_size: int = 8, lr: float = 1e-3, log=None) -> VQVAETrainResult:
     """End-to-end VQ-VAE training; reports reconstruction IoU/mIoU per epoch."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     weights = inverse_frequency_weights(dataset, config.num_classes)
-    eval_scenes = dataset[: min(len(dataset), metrics_subset)]
+    eval_scenes = dataset[:METRICS_SUBSET]
     usage = np.zeros(config.num_codes, dtype=np.int64)
     buffer = []
     reports = []
@@ -211,7 +215,7 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
 
     def end_epoch(params):
         params["codes"], _ = reinit_dead_codes(
-            params["codes"], usage, np.concatenate(buffer, axis=0), dead_code_threshold, rng)
+            params["codes"], usage, np.concatenate(buffer, axis=0), DEAD_CODE_THRESHOLD, rng)
         usage[:] = 0
         buffer.clear()
         recons = ((reconstruct(params, config, g), g) for g in eval_scenes)
@@ -224,35 +228,12 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
 
 
 def save_vqvae(path, result: VQVAETrainResult, extra: dict | None = None):
-    meta = {f"config.{k}": str(v) for k, v in asdict(result.config).items()}
-    meta["kind"] = "vqvae"
-    if extra:
-        meta.update({k: str(v) for k, v in extra.items()})
-    params = dict(result.params)
-    params["class_weights"] = result.weights
-    save_checkpoint(path, params, meta)
+    params = dict(result.params, class_weights=result.weights)
+    save_model(path, "vqvae", params, result.config, extra)
 
 
 def load_vqvae(path) -> VQVAETrainResult:
-    params, meta = load_checkpoint(path)
-    if meta.get("kind") != "vqvae":
-        raise CheckpointError("not a VQ-VAE checkpoint")
-
-    def get(name, cast):
-        return cast(meta[f"config.{name}"])
-
-    strides = tuple(
-        tuple(int(x) for x in part.strip(" ()").split(",") if x.strip())
-        for part in meta["config.strides"].strip("()").split("),")
-        if part.strip(" ,")
-    )
-    config = VQVAEConfig(
-        num_classes=get("num_classes", int),
-        num_codes=get("num_codes", int),
-        code_dim=get("code_dim", int),
-        hidden=get("hidden", int),
-        strides=strides,
-        beta_commit=get("beta_commit", float),
-    )
+    params, config, _ = load_model(path, "vqvae", VQVAEConfig, lambda c: dict(
+        param_shapes(c), class_weights=(c.num_classes,)))
     weights = params.pop("class_weights")
     return VQVAETrainResult(params, config, weights, [])

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from scenediff import denoiser as dn
+from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint, save_checkpoint
 from scenediff.errors import CheckpointError
 
@@ -19,3 +23,23 @@ def test_every_truncation_raises_checkpoint_error(tmp_path):
         cut.write_bytes(data[:n])
         with pytest.raises(CheckpointError):
             load_checkpoint(cut)
+
+
+def test_malformed_model_file_raises_checkpoint_error(malformed_checkpoint):
+    path, loaded_as, valid = malformed_checkpoint
+    load = {"denoiser": dn.load_denoiser, "vqvae": vq.load_vqvae}[loaded_as]
+    load(valid[loaded_as])
+    with pytest.raises(CheckpointError):
+        load(path)
+
+
+def test_model_file_metadata_is_kind_json_config_and_extras(tmp_path):
+    config = dn.DenoiserConfig(num_classes=3, in_channels=4, hidden=[5, 7], num_steps=10)
+    assert config.hidden == (5, 7)
+    path = tmp_path / "d.vxdn"
+    dn.save_denoiser(path, dn.init_params(config, 0), config, extra={"w0": 0.01})
+    _, meta = load_checkpoint(path)
+    assert meta.keys() == {"kind", "config", "w0"}
+    assert meta["kind"] == "denoiser" and meta["w0"] == "0.01"
+    assert json.loads(meta["config"])["hidden"] == [5, 7]
+    assert dn.load_denoiser(path, expected_config=config)[1] == config

@@ -215,3 +215,15 @@ def test_sample_rejects_latent_codebook_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("error: ") and len(out.splitlines()) == 1
     assert "codebook" in out
+
+
+def test_malformed_checkpoint_prints_one_error_line(malformed_checkpoint, tmp_path, capsys):
+    path, loaded_as, valid = malformed_checkpoint
+    if loaded_as == "vqvae":
+        argv = ["sample", "--ckpt", str(valid["denoiser"]), "--vqvae", str(path),
+                "--dims", "2x2x2"]
+    else:
+        argv = ["sample", "--ckpt", str(path)]
+    assert run(argv + ["--out", str(tmp_path / "s")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and len(out.splitlines()) == 1

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scenediff import sceneio
 from scenediff.errors import SceneFormatError
 from scenediff.grids import VoxelGrid
 from scenediff.sceneio import export_ply, export_slices, load_scene, rle_decode, rle_encode, save_scene
-from scenediff.toydata import driving_class_table, toy_class_table
+from scenediff.toydata import (ToySceneParams, driving_class_table, generate_toy_scene,
+                               toy_class_table)
 
 
 def test_round_trip_raw_and_rle(tmp_path):
@@ -35,11 +37,41 @@ def test_rle_and_raw_load_identically(tmp_path):
     assert a == b
 
 
-def test_rle_codec_oracle():
+def _reference_rle(flat, run_max=0xFFFFFFFF) -> bytes:
+    """Run by run in plain Python; runs longer than `run_max` are split into
+    full pieces followed by the remainder."""
+    out = bytearray()
+    i = 0
+    while i < len(flat):
+        j = i
+        while j < len(flat) and flat[j] == flat[i]:
+            j += 1
+        run = j - i
+        while run > run_max:
+            out += struct.pack("<IB", run_max, int(flat[i]))
+            run -= run_max
+        out += struct.pack("<IB", run, int(flat[i]))
+        i = j
+    return bytes(out)
+
+
+def test_rle_codec_oracle(monkeypatch):
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        flat = rng.integers(0, 3, size=rng.integers(1, 200)).astype(np.uint8)
-        assert np.array_equal(rle_decode(rle_encode(flat), flat.size), flat)
+    randoms = [rng.integers(0, k, size=rng.integers(1, 200)).astype(np.uint8)
+               for k in (1, 2, 3, 256) for _ in range(12)]
+    toys = [generate_toy_scene(ToySceneParams(dims=(16, 16, 4), num_classes=5), seed)
+            .labels.astype(np.uint8).reshape(-1, order="F") for seed in range(4)]
+    assert rle_encode(np.zeros(0, dtype=np.uint8)) == b""
+    for flat in randoms + toys:
+        payload = rle_encode(flat)
+        assert payload == _reference_rle(flat)
+        assert np.array_equal(rle_decode(payload, flat.size), flat)
+    # a short cap exercises the splitting of runs too long for one u32 count
+    monkeypatch.setattr(sceneio, "RUN_MAX", 3)
+    for flat in randoms[:24] + toys[:1] + [np.full(10, 7, dtype=np.uint8)]:
+        payload = rle_encode(flat)
+        assert payload == _reference_rle(flat, 3)
+        assert np.array_equal(rle_decode(payload, flat.size), flat)
 
 
 def test_bad_magic(tmp_path):
@@ -69,6 +101,24 @@ def test_label_out_of_table_range(tmp_path):
     data[-1] = 3  # last byte of the single RLE pair is the run label
     path.write_bytes(bytes(data))
     with pytest.raises(SceneFormatError):
+        load_scene(path)
+
+
+def test_empty_class_table_is_a_format_error(tmp_path):
+    path = tmp_path / "x.vxsc"
+    path.write_bytes(b"VXSC" + struct.pack("<HH3IH", 1, 0, 1, 1, 1, 0) + b"\x00")
+    with pytest.raises(SceneFormatError, match="empty class table"):
+        load_scene(path)
+
+
+def test_non_utf8_class_name_is_a_format_error(tmp_path):
+    path = tmp_path / "x.vxsc"
+    save_scene(VoxelGrid(np.zeros((1, 1, 1), dtype=int)), toy_class_table(2), path)
+    data = bytearray(path.read_bytes())
+    names_at = 22 + 3 * 2 + 2  # header, palette, first name length
+    data[names_at] = 0xFF  # never valid in UTF-8
+    path.write_bytes(bytes(data))
+    with pytest.raises(SceneFormatError, match="UTF-8"):
         load_scene(path)
 
 
