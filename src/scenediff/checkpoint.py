@@ -24,12 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import from_values
 from .errors import CheckpointError
 
 MAGIC = b"VXDN"
 VERSION = 1
 
 
+@np.errstate(over="ignore")  # a float32 overflow gives inf, which is refused below
 def save_checkpoint(path, params: dict[str, np.ndarray], metadata: dict[str, str]):
     buf = bytearray()
     buf += MAGIC
@@ -39,11 +41,13 @@ def save_checkpoint(path, params: dict[str, np.ndarray], metadata: dict[str, str
     buf += struct.pack("<I", len(params))
     for name, arr in params.items():
         a = np.ascontiguousarray(arr, dtype=np.float32)
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"array {name!r} is not finite in float32; not saved")
         nb = name.encode()
         buf += struct.pack("<H", len(nb)) + nb
         buf += struct.pack("<B", a.ndim)
         buf += struct.pack(f"<{a.ndim}I", *a.shape)
-        buf += a.tobytes()
+        buf += a.data
     Path(path).write_bytes(bytes(buf))
 
 
@@ -100,9 +104,9 @@ def save_model(path, kind: str, params: dict[str, np.ndarray], config,
 def load_model(path, kind: str, config_cls, param_shapes):
     """Read a model file of the given kind. Returns (params, config, metadata).
 
-    The config is rebuilt as `config_cls(**json)`, so its `__post_init__` does
-    the validation, and the arrays must have exactly the names and shapes that
-    `param_shapes(config)` gives. Every failure raises CheckpointError.
+    The config is rebuilt from its JSON by `config.from_values`, and the arrays
+    must have exactly the names and shapes that `param_shapes(config)` gives.
+    Every failure raises CheckpointError.
     """
     params, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
@@ -110,7 +114,7 @@ def load_model(path, kind: str, config_cls, param_shapes):
     if "config" not in meta:
         raise CheckpointError(f"{kind} checkpoint has no JSON config; retrain it")
     try:
-        config = config_cls(**json.loads(meta["config"]))
+        config = from_values(config_cls, json.loads(meta["config"]))
         expected = param_shapes(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad {kind} config: {exc}") from exc

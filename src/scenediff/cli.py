@@ -17,7 +17,8 @@ from . import denoiser as dn
 from . import latent as lat
 from . import ssc as ssc_mod
 from . import vqvae as vq
-from .config import load_run_config
+from .config import Triple, convert, load_run_config
+from .diffusion import sample_loop
 from .errors import CheckpointError, ConfigError, SceneFormatError, TrainingDiverged
 from .grids import ClassTable, VoxelGrid
 from .sceneio import export_ply, export_slices, load_scene, save_scene
@@ -29,30 +30,23 @@ def _load_dataset(data_dir) -> tuple[list[VoxelGrid], ClassTable]:
     paths = sorted(Path(data_dir).glob("*.vxsc"))
     if not paths:
         raise SceneFormatError(f"no .vxsc scenes in {data_dir}")
-    scenes, table = [], None
-    for p in paths:
-        g, t = load_scene(p)
-        scenes.append(g)
-        table = t
-    return scenes, table
+    scenes, tables = zip(*(load_scene(p) for p in paths))
+    for p, t in zip(paths, tables):
+        if (t.names, t.colors) != (tables[0].names, tables[0].colors):
+            raise SceneFormatError(f"{p}: class table differs from that of {paths[0]}")
+    return list(scenes), tables[0]
 
 
-def _transition(cfg) -> UniformTransition:
-    return UniformTransition(cfg.num_classes, make_schedule(cfg.schedule, cfg.num_steps))
+def _transition(cfg, k: int) -> UniformTransition:
+    return UniformTransition(k, make_schedule(cfg.schedule, cfg.num_steps))
 
 
 def _overrides(args) -> dict:
-    out = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        k, _, v = item.partition("=")
-        out[k.strip()] = v.strip()
-    return out
+    return {k.strip(): v.strip() for k, _, v in (item.partition("=") for item in args.set or [])}
 
 
 def cmd_gen_data(args):
-    dims = tuple(int(v) for v in args.dims.replace("x", ",").split(","))
+    dims = convert(Triple, args.dims, "--dims")
     params = ToySceneParams(dims=dims, num_classes=args.classes)
     table = toy_class_table(args.classes)
     out = Path(args.out)
@@ -76,20 +70,20 @@ def cmd_gen_data(args):
 
 
 def _trainer(train):
-    """A train-* command: `train(args, cfg, scenes)` fits a model and returns a
-    function that saves it to a path. Config, data and the report are shared."""
+    """A train-* command: `train(args, cfg, scenes, k)` fits a model on scenes of k
+    classes and returns a function that saves it. Config, data and report are shared."""
 
     def cmd(args):
         cfg = load_run_config(args.config, _overrides(args), log=print)
-        scenes, _ = _load_dataset(args.data)
-        train(args, cfg, scenes)(args.out)
+        scenes, table = _load_dataset(args.data)
+        train(args, cfg, scenes, table.num_classes)(args.out)
         print(f"saved checkpoint {args.out}")
 
     return cmd
 
 
-def _denoiser_config(cfg, in_channels: int) -> dn.DenoiserConfig:
-    return dn.DenoiserConfig(num_classes=cfg.num_classes, in_channels=in_channels,
+def _denoiser_config(cfg, k: int, in_channels: int) -> dn.DenoiserConfig:
+    return dn.DenoiserConfig(num_classes=k, in_channels=in_channels,
                              hidden=cfg.hidden, num_steps=cfg.num_steps)
 
 
@@ -100,17 +94,17 @@ def _denoiser_saver(params, config, cfg, **extra):
 
 
 @_trainer
-def cmd_train_diffusion(args, cfg, scenes):
-    config = _denoiser_config(cfg, cfg.num_classes)
-    params, _ = dn.train_diffusion(scenes, config, _transition(cfg), cfg.seed,
+def cmd_train_diffusion(args, cfg, scenes, k):
+    config = _denoiser_config(cfg, k, k)
+    params, _ = dn.train_diffusion(scenes, config, _transition(cfg, k), cfg.seed,
                                    epochs=cfg.epochs, batch_size=cfg.batch_size,
                                    lr=cfg.lr, w0=cfg.w0, log=print)
     return _denoiser_saver(params, config, cfg, epochs=cfg.epochs, mode="unconditional")
 
 
 @_trainer
-def cmd_train_vqvae(args, cfg, scenes):
-    config = vq.VQVAEConfig(num_classes=cfg.num_classes, num_codes=cfg.vq_num_codes,
+def cmd_train_vqvae(args, cfg, scenes, k):
+    config = vq.VQVAEConfig(num_classes=k, num_codes=cfg.vq_num_codes,
                             code_dim=cfg.vq_code_dim, hidden=cfg.vq_hidden,
                             strides=cfg.vq_strides, beta_commit=cfg.vq_beta_commit)
     result = vq.train_vqvae(scenes, config, cfg.seed, epochs=cfg.epochs,
@@ -119,21 +113,19 @@ def cmd_train_vqvae(args, cfg, scenes):
 
 
 @_trainer
-def cmd_train_latent(args, cfg, scenes):
+def cmd_train_latent(args, cfg, scenes, k):
     vq_result = vq.load_vqvae(args.vqvae)
-    trans = UniformTransition(vq_result.config.num_codes,
-                              make_schedule(cfg.schedule, cfg.num_steps))
     params, config, _ = lat.train_latent_denoiser(
-        scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
+        scenes, vq_result, _transition(cfg, vq_result.config.num_codes), cfg.seed,
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
         hidden=cfg.hidden, log=print)
     return _denoiser_saver(params, config, cfg, mode="latent", vqvae=str(args.vqvae))
 
 
 @_trainer
-def cmd_train_baseline(args, cfg, scenes):
+def cmd_train_baseline(args, cfg, scenes, k):
     tasks = ssc_mod.build_tasks(scenes, cfg.sparsity_rate, cfg.seed)
-    config = _denoiser_config(cfg, cfg.num_classes + 1)
+    config = _denoiser_config(cfg, k, k + 1)
     params, _ = ssc_mod.train_baseline(tasks, config, cfg.seed, epochs=cfg.epochs,
                                        batch_size=cfg.batch_size, lr=cfg.lr, log=print)
     extra = {"mode": "baseline", "sparsity_rate": cfg.sparsity_rate}
@@ -141,10 +133,10 @@ def cmd_train_baseline(args, cfg, scenes):
 
 
 @_trainer
-def cmd_train_conditional(args, cfg, scenes):
+def cmd_train_conditional(args, cfg, scenes, k):
     tasks = ssc_mod.build_tasks(scenes, cfg.sparsity_rate, cfg.seed)
-    config = _denoiser_config(cfg, cfg.num_classes + 1)
-    params, _ = ssc_mod.train_conditional(tasks, config, _transition(cfg), cfg.seed,
+    config = _denoiser_config(cfg, k, k + 1)
+    params, _ = ssc_mod.train_conditional(tasks, config, _transition(cfg, k), cfg.seed,
                                           epochs=cfg.epochs, batch_size=cfg.batch_size,
                                           lr=cfg.lr, w0=cfg.w0, log=print)
     return _denoiser_saver(params, config, cfg, mode="conditional",
@@ -154,33 +146,31 @@ def cmd_train_conditional(args, cfg, scenes):
 def _load_diffusion(path):
     """(params, config, transition) of a diffusion denoiser checkpoint."""
     params, config, meta = dn.load_denoiser(path)
+    if meta.get("mode") == "baseline":
+        raise CheckpointError(f"{path} is an SSC baseline, not a diffusion model")
     schedule = make_schedule(meta.get("schedule", "cosine"), config.num_steps)
     return params, config, UniformTransition(config.num_classes, schedule)
 
 
 def cmd_sample(args):
     params, config, trans = _load_diffusion(args.ckpt)
+    dims = convert(Triple, args.dims, "--dims")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dims = tuple(int(v) for v in args.dims.replace("x", ",").split(","))
     vq_result = vq.load_vqvae(args.vqvae) if args.vqvae else None
+    table = toy_class_table(vq_result.config.num_classes if vq_result else config.num_classes)
     for i in range(args.count):
         rng = np.random.default_rng((args.seed, i))
         if vq_result is not None:
             grid = lat.sample_latent(params, config, vq_result, dims, trans, rng)
-            table = toy_class_table(vq_result.config.num_classes)
         else:
-            from .diffusion import sample_loop
             grid = sample_loop(dn.as_denoiser_fn(params, config), dims, trans, rng)
-            table = toy_class_table(config.num_classes)
         save_scene(grid, table, out / f"sample_{i:04d}.vxsc")
     print(f"wrote {args.count} samples to {out}")
 
 
 def cmd_complete(args):
     params, config, trans = _load_diffusion(args.ckpt)
-    if not config.conditioned:
-        raise CheckpointError("checkpoint is not a conditional model")
     condition, _ = load_scene(args.condition)
     rng = np.random.default_rng(args.seed)
     grid = ssc_mod.complete(params, config, trans, condition, rng)
@@ -198,7 +188,9 @@ def cmd_eval(args):
         if name == "majority":
             methods["majority"] = ssc_mod.majority_class_predictor(scenes)
         elif name == "baseline":
-            params, config, _ = dn.load_denoiser(ckpt)
+            params, config, meta = dn.load_denoiser(ckpt)
+            if meta.get("mode", "baseline") != "baseline":
+                raise CheckpointError(f"{ckpt} is not an SSC baseline (mode {meta['mode']})")
             methods["baseline"] = (
                 lambda task, rng, p=params, c=config: ssc_mod.baseline_predict(p, c, task.condition))
         elif name == "diffusion":

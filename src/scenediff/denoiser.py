@@ -15,6 +15,7 @@ import numpy as np
 
 from . import nn
 from .checkpoint import load_model, save_model
+from .config import typed
 from .diffusion import UniformTransition, diffusion_loss_and_grad, q_marginal, sample_field
 from .errors import CheckpointError
 from .grids import CategoricalField, VoxelGrid, one_hot
@@ -31,11 +32,10 @@ class DenoiserConfig:
     num_steps: int = 100  # T, for the embedding range
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        if len(self.hidden) != 2:
-            raise ValueError(f"hidden must hold 2 stage widths, got {self.hidden}")
-        if self.kernel % 2 == 0:
-            raise ValueError("kernel size must be odd")
+        typed(self)
+        sizes = self.hidden + (self.num_classes, self.kernel, self.time_dim, self.time_hidden)
+        if min(sizes) < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"sizes must be >= 1 and the kernel odd in {self}")
         if self.in_channels not in (self.num_classes, self.num_classes + 1):
             raise ValueError("in_channels must be K or K+1")
 

@@ -9,7 +9,7 @@ class CheckpointError(Exception):
     """Raised on checkpoint format or config mismatches."""
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Raised on malformed run configuration (bad key, duplicate, bad value)."""
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import nn
 from .checkpoint import load_model, save_model
+from .config import Triple, typed
 from .diffusion import softmax
 from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
 from .metrics import inverse_frequency_weights, report_from_pairs
@@ -30,15 +31,14 @@ class VQVAEConfig:
     num_codes: int = 64
     code_dim: int = 8
     hidden: int = 32
-    strides: tuple[tuple[int, int, int], ...] = ((2, 2, 1), (2, 2, 2))
+    strides: tuple[Triple, Triple] = ((2, 2, 1), (2, 2, 2))
     beta_commit: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "strides", tuple(tuple(s) for s in self.strides))
-        if len(self.strides) != 2 or any(len(s) != 3 for s in self.strides):
-            raise ValueError(f"strides must hold 2 stages of 3 ints, got {self.strides}")
-        if self.num_codes < 2:
-            raise ValueError("need at least 2 codes")
+        typed(self)
+        sizes = (self.num_classes, self.code_dim, self.hidden) + sum(self.strides, ())
+        if min(sizes) < 1 or self.num_codes < 2:
+            raise ValueError(f"sizes and strides must be >= 1 and num_codes >= 2 in {self}")
 
     @property
     def total_stride(self) -> tuple[int, int, int]:

@@ -59,8 +59,25 @@ def _pre_json_format(path):
     return "denoiser"
 
 
+def _denoiser_config_set(name, **values):
+    """A denoiser file whose JSON config holds `values`, which do not convert."""
+
+    def write(path):
+        config = json.dumps(dict(asdict(DENOISER), **values))
+        save_checkpoint(path, dn.init_params(DENOISER, 0),
+                        {"kind": "denoiser", "config": config, "schedule": "cosine"})
+        return "denoiser"
+
+    write.__name__ = f"denoiser_{name}"
+    return write
+
+
 MALFORMED = [_vqvae_missing_config_field, _denoiser_array_dropped, _denoiser_array_reshaped,
-             _vqvae_as_denoiser, _pre_json_format]
+             _vqvae_as_denoiser, _pre_json_format,
+             _denoiser_config_set("num_steps_null", num_steps=None),
+             _denoiser_config_set("num_steps_fraction", num_steps=3.5),
+             _denoiser_config_set("kernel_bool", kernel=True),
+             _denoiser_config_set("hidden_fraction", hidden=[3.7, 4])]
 
 
 @pytest.fixture(params=MALFORMED, ids=lambda f: f.__name__.lstrip("_"))

@@ -43,3 +43,11 @@ def test_model_file_metadata_is_kind_json_config_and_extras(tmp_path):
     assert meta["kind"] == "denoiser" and meta["w0"] == "0.01"
     assert json.loads(meta["config"])["hidden"] == [5, 7]
     assert dn.load_denoiser(path, expected_config=config)[1] == config
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e40])  # 1e40 overflows float32
+def test_save_refuses_arrays_not_finite_in_float32(tmp_path, bad):
+    path = tmp_path / "x.vxdn"
+    with pytest.raises(CheckpointError, match="'w'"):
+        save_checkpoint(path, {"b": np.ones(2), "w": np.array([1.0, bad])}, {})
+    assert not path.exists()

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import write_valid_models
 from scenediff import denoiser as dn
 from scenediff import vqvae as vq
 from scenediff.cli import main
-from scenediff.config import RunConfig, load_run_config, parse_config_text
+from scenediff.config import RunConfig, Triple, convert, load_run_config, parse_config_text
 from scenediff.errors import ConfigError
 from scenediff.sceneio import load_scene, save_scene
 from scenediff.grids import VoxelGrid
@@ -21,12 +22,12 @@ def test_config_parsing():
     text = """
     # a comment
     num_steps = 7
-    dims = 8x8x4  # trailing comment
+    lr = 0.01  # trailing comment
     hidden = 4,6
     vq_strides = 2,2,1;2,2,2
     """
     values = parse_config_text(text)
-    assert values == {"num_steps": 7, "dims": (8, 8, 4), "hidden": (4, 6),
+    assert values == {"num_steps": 7, "lr": 0.01, "hidden": (4, 6),
                       "vq_strides": ((2, 2, 1), (2, 2, 2))}
 
 
@@ -39,6 +40,20 @@ def test_config_rejects_bad_lines():
         parse_config_text("epochs = soon")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just words")
+
+
+def test_convert_checks_each_annotation():
+    assert convert(Triple, "8x8x4", "dims") == (8, 8, 4)
+    assert convert(tuple[Triple, Triple], [[2, 2, 1], (2, 2, 2)], "strides") == \
+        ((2, 2, 1), (2, 2, 2))
+    assert convert(int, 3.0, "n") == 3 and type(convert(int, 3.0, "n")) is int
+    assert convert(float, "1e-3", "lr") == 1e-3 and convert(str, "cosine", "s") == "cosine"
+    for kind, value in ((int, True), (int, None), (int, 3.5), (int, "3.5"), (int, "soon"),
+                        (float, "nan"), (float, float("inf")), (int, 10 ** 400), (str, 3),
+                        (tuple[int, int], [1, 2, 3]), (tuple[int, int], "4"),
+                        (Triple, "2,2"), (tuple[Triple, Triple], "2,2;2,2,2")):
+        with pytest.raises(ConfigError, match="for the field"):
+            convert(kind, value, "the field")
 
 
 def test_load_run_config_precedence(tmp_path):
@@ -95,10 +110,91 @@ def test_train_rejects_wrong_stage_counts(tmp_path, capsys):
     for command, setting, field in (("train-diffusion", "hidden=4,4,4", "hidden"),
                                     ("train-vqvae", "vq_strides=2,2,1;2,2,1;1,1,1", "strides")):
         assert run([command, "--data", str(data), "--out", str(tmp_path / "x.vxdn"),
-                    "--set", "num_classes=4", "--set", setting]) == 1
+                    "--set", setting]) == 1
         out = capsys.readouterr().out
         assert out.startswith("error: ") and len(out.splitlines()) == 1
         assert field in out
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny") / "data"
+    assert run(["gen-data", "--out", str(data), "--scenes", "3", "--dims", "8x8x4",
+                "--classes", "4"]) == 0
+    return data
+
+
+def _one_error_line(out: str) -> bool:
+    lines = out.splitlines()
+    return lines[-1].startswith("error: ") and sum(x.startswith("error:") for x in lines) == 1
+
+
+BAD_SETTINGS = [  # (command, --set values, what the error line names)
+    ("train-diffusion", ["batch_size=0"], "batch_size"),
+    ("train-diffusion", ["epochs=0"], "epochs"),
+    # one epoch of one step: no later loss turns non-finite
+    ("train-diffusion", ["lr=nan", "epochs=1"], "'lr'"),
+    ("train-diffusion", ["lr=inf", "epochs=1"], "'lr'"),
+    ("train-diffusion", ["lr=1e40", "epochs=1"], "not finite"),  # overflows only in float32
+    ("train-diffusion", ["hidden=4"], "'hidden'"),
+    ("train-vqvae", ["vq_strides=2,2;2,2,2"], "'vq_strides'"),
+    ("train-diffusion", ["hidden=0,4"], "hidden=(0, 4)"),
+    ("train-vqvae", ["vq_strides=0,2,1;2,2,2"], "strides=((0, 2, 1)"),
+    ("train-diffusion", ["dims=8x8x4"], "unknown key 'dims'"),
+    ("train-diffusion", ["num_classes=4"], "unknown key 'num_classes'")]
+
+
+@pytest.mark.parametrize("command,settings,reason", BAD_SETTINGS,
+                         ids=["+".join(settings) for _, settings, _ in BAD_SETTINGS])
+def test_train_rejects_bad_setting(tiny_data, tmp_path, capsys, command, settings, reason):
+    out = tmp_path / "x.vxdn"
+    argv = [command, "--data", str(tiny_data), "--out", str(out),
+            "--set", "num_steps=3", "--set", "hidden=3,4", "--set", "vq_hidden=4"]
+    assert run(argv + [a for s in settings for a in ("--set", s)]) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text) and reason in text.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_train_rejects_mixed_class_tables(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for k in (4, 5):
+        scene = generate_toy_scene(ToySceneParams(dims=(8, 8, 4), num_classes=k), k)
+        save_scene(scene, toy_class_table(k), data / f"scene_{k}.vxsc")
+    out = tmp_path / "x.vxdn"
+    assert run(["train-diffusion", "--data", str(data), "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text) and "scene_5.vxsc" in text
+    assert not out.exists()
+
+
+def test_bad_dims_flag_prints_one_error_line(tmp_path, capsys):
+    ckpt = write_valid_models(tmp_path)["denoiser"]
+    for argv in (["gen-data", "--dims", "8x8"],
+                 ["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"]):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("error: ") and len(text.splitlines()) == 1
+        assert "--dims" in text
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_checks_the_mode_extra(tiny_data, tmp_path, capsys):
+    config = dn.DenoiserConfig(num_classes=4, in_channels=5, hidden=(3, 4), num_steps=3)
+    params = dn.init_params(config, 0)
+    for mode, method in (("baseline", "diffusion"), ("conditional", "baseline")):
+        path = tmp_path / f"{mode}.vxdn"
+        dn.save_denoiser(path, params, config, extra={"mode": mode})
+        assert run(["eval", "--methods", f"{method}={path}", "--data", str(tiny_data),
+                    "--out", str(tmp_path / "e")]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("error: ") and len(text.splitlines()) == 1
+    # a file written through the API has no mode extra and loads as either
+    path = tmp_path / "api.vxdn"
+    dn.save_denoiser(path, params, config)
+    assert run(["eval", "--methods", f"baseline={path},diffusion={path}",
+                "--data", str(tiny_data), "--out", str(tmp_path / "e")]) == 0
 
 
 def test_export_empty_scene(tmp_path):
@@ -119,9 +215,7 @@ def test_end_to_end_pipeline(tmp_path):
     data = tmp_path / "data"
     assert run(["gen-data", "--out", str(data), "--scenes", "6",
                 "--dims", "8x8x4", "--classes", "4", "--seed", "0"]) == 0
-    common = ["--set", "num_classes=4", "--set", "dims=8x8x4",
-              "--set", "epochs=1", "--set", "num_steps=3",
-              "--set", "hidden=3,4"]
+    common = ["--set", "epochs=1", "--set", "num_steps=3", "--set", "hidden=3,4"]
 
     ckpt = tmp_path / "diff.vxdn"
     assert run(["train-diffusion", "--data", str(data), "--out", str(ckpt)]

@@ -74,3 +74,11 @@ def test_batch_step_averages_records_and_gradients_in_batch_order():
     assert np.allclose(state.m["w"], 0.1 * np.array([3.0, 1.0]))
     with pytest.raises(ValueError):
         nn.batch_step(params, state, [], loss_and_grads, lr=0.0)
+
+
+@pytest.mark.parametrize("epochs,batch_size,lr", [(0, 8, 1e-3), (-1, 8, 1e-3), (1, 0, 1e-3),
+                                                  (1, 8, float("nan")), (1, 8, float("inf")),
+                                                  (1, 8, -1e-3)])
+def test_fit_rejects_bad_loop_settings(epochs, batch_size, lr):
+    with pytest.raises(ValueError, match="batch_size >= 1"):
+        nn.fit({}, None, [1.0], np.random.default_rng(0), epochs, batch_size, lr)
