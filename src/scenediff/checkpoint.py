@@ -12,18 +12,21 @@ A model file (`save_model`/`load_model`) holds these metadata keys:
     ...     free string extras (e.g. a diffusion model's schedule and w0)
 and exactly the arrays, by name and shape, that its config implies. Files
 written before configs were stored as JSON have no `config` key and are
-rejected; retrain them.
+rejected; retrain them. `load_checkpoint` reads only through `binfile.Reader`,
+which checks every read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader
 from .config import from_values
 from .errors import CheckpointError
 
@@ -54,41 +57,26 @@ def save_checkpoint(path, params: dict[str, np.ndarray], metadata: dict[str, str
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Returns (params as float64 arrays, metadata). Raises CheckpointError on
     malformed files."""
-    data = Path(path).read_bytes()
-    if len(data) < 6 or data[:4] != MAGIC:
-        raise CheckpointError("bad magic")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported version {version}")
-    off = 6
+    r = Reader(Path(path).read_bytes(), CheckpointError)
+    r.header(MAGIC, VERSION)
+    (mlen,) = r.unpack("<I")
     metadata = {}
+    for line in r.text(mlen).splitlines():
+        if line:
+            k, _, v = line.partition("=")
+            metadata[k] = v
+    (count,) = r.unpack("<I")
     params = {}
-    try:
-        (mlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        for line in data[off : off + mlen].decode().splitlines():
-            if line:
-                k, _, v = line.partition("=")
-                metadata[k] = v
-        off += mlen
-        (count,) = struct.unpack_from("<I", data, off)
-        off += 4
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off : off + nlen].decode()
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", data, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, off)
-            off += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(data, dtype="<f4", count=size, offset=off)
-            off += 4 * size
+    for _ in range(count):
+        name = r.text(*r.unpack("<H"))
+        (ndim,) = r.unpack("B")
+        shape = r.unpack(f"<{ndim}I")
+        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4")
+        try:
             params[name] = arr.reshape(shape).astype(np.float64)
-    except (struct.error, ValueError) as exc:
-        raise CheckpointError("truncated checkpoint") from exc
-    if off != len(data):
+        except ValueError as exc:  # more dims, or a larger size, than numpy can hold
+            raise CheckpointError(f"array {name!r}: {exc}") from exc
+    if r.rest():
         raise CheckpointError("trailing bytes in checkpoint")
     return params, metadata
 

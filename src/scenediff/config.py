@@ -33,6 +33,8 @@ class RunConfig:
 
     def __post_init__(self):
         typed(self)
+        if self.seed < 0:
+            raise ConfigError(f"bad value {self.seed} for 'seed' (expected >= 0)")
 
 
 field_types = functools.cache(get_type_hints)  # a config's field -> its resolved annotation

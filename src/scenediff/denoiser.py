@@ -153,6 +153,8 @@ def _diffusion_loss(config: DenoiserConfig, trans: UniformTransition, w0: float,
     An example is an (x0, condition-or-None) pair. Each call draws the timestep
     uniformly, then x_t from q(x_t | x0), both from `rng`.
     """
+    if not w0 >= 0:
+        raise ValueError(f"need w0 >= 0; got {w0}")
     k = config.num_classes
 
     def loss_and_grads(params, example):

@@ -112,6 +112,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def weighted_cross_entropy(logits: np.ndarray, target: np.ndarray, weights: np.ndarray):
+    """(loss, dlogits): the class-weighted cross-entropy of softmax(logits) against
+    `target` probabilities, averaged over voxels, and its gradient."""
+    p = softmax(logits)
+    wt = weights * target
+    loss = float(-np.mean((wt * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=-1)))
+    return loss, (p * wt.sum(axis=-1, keepdims=True) - wt) / (target.size // target.shape[-1])
+
+
 def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalField,
                             x_t: VoxelGrid, w0: float, trans: UniformTransition):
     """Hybrid loss (variational-bound term + w0 * auxiliary cross-entropy),

@@ -11,17 +11,10 @@ import numpy as np
 
 from . import denoiser as dn
 from . import nn
-from .diffusion import q_marginal, sample_loop
+from .diffusion import sample_loop
 from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
 from .schedule import UniformTransition, make_schedule
 from .vqvae import VQVAETrainResult, decode, encode, quantize
-
-
-def corrupt_indices(idx: VoxelGrid, t: int, trans: UniformTransition) -> CategoricalField:
-    """Forward marginal over codebook indices; the category count is N."""
-    if idx.labels.max() >= trans.num_classes:
-        raise ValueError("index out of codebook range")
-    return q_marginal(one_hot(idx, trans.num_classes), t, trans)
 
 
 def encode_dataset(vq: VQVAETrainResult, dataset) -> list[VoxelGrid]:

@@ -5,6 +5,8 @@ File layout (little-endian):
     dims 3 x u32 | K u16 | palette K x 3 u8
     names block: per class, u16 byte-length + UTF-8 bytes
     payload: raw u8 labels in x-fastest order, or RLE (count u32, label u8) pairs
+
+`load_scene` reads only through `binfile.Reader`, which checks every read.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader
 from .errors import SceneFormatError
 from .grids import ClassTable, VoxelGrid
 
@@ -41,15 +44,15 @@ def rle_encode(labels: np.ndarray) -> bytes:
 
 
 def rle_decode(payload: bytes, expected: int) -> np.ndarray:
-    """Inverse of rle_encode. The run counts are checked against `expected`
-    before any run is expanded, so memory stays bounded by the declared dims."""
+    """Inverse of rle_encode, as int64 labels. The run counts are checked against
+    `expected` before any run is expanded, so memory stays bounded by the declared dims."""
     if len(payload) % RUN.itemsize != 0:
         raise SceneFormatError("truncated RLE payload")
     runs = np.frombuffer(payload, dtype=RUN)
     total = int(runs["count"].sum(dtype=np.uint64))
     if total != expected:
         raise SceneFormatError(f"RLE payload decodes to {total} voxels, expected {expected}")
-    return np.repeat(runs["label"], runs["count"])
+    return np.repeat(runs["label"].astype(np.int64), runs["count"])
 
 
 def save_scene(grid: VoxelGrid, table: ClassTable, path, rle: bool = True):
@@ -69,36 +72,16 @@ def save_scene(grid: VoxelGrid, table: ClassTable, path, rle: bool = True):
 
 
 def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
-    data = Path(path).read_bytes()
-    if len(data) < 22 or data[:4] != MAGIC:
-        raise SceneFormatError("bad magic")
-    version, flags, x, y, z, k = struct.unpack_from("<HH3IH", data, 4)
-    if version != VERSION:
-        raise SceneFormatError(f"unsupported version {version}")
+    r = Reader(Path(path).read_bytes(), SceneFormatError)
+    r.header(MAGIC, VERSION)
+    flags, x, y, z, k = r.unpack("<H3IH")
     if k == 0:
         raise SceneFormatError("empty class table")
-    off = 22
-    if len(data) < off + 3 * k:
-        raise SceneFormatError("truncated palette")
-    palette = tuple(
-        (data[off + 3 * i], data[off + 3 * i + 1], data[off + 3 * i + 2]) for i in range(k)
-    )
-    off += 3 * k
-    names = []
-    for _ in range(k):
-        if len(data) < off + 2:
-            raise SceneFormatError("truncated names block")
-        (n,) = struct.unpack_from("<H", data, off)
-        off += 2
-        if len(data) < off + n:
-            raise SceneFormatError("truncated names block")
-        try:
-            names.append(data[off : off + n].decode())
-        except UnicodeDecodeError as exc:
-            raise SceneFormatError("class name is not UTF-8") from exc
-        off += n
+    rgb = r.unpack(f"{3 * k}B")
+    palette = tuple(zip(rgb[0::3], rgb[1::3], rgb[2::3]))
+    names = tuple(r.text(*r.unpack("<H")) for _ in range(k))
     expected = x * y * z
-    payload = data[off:]
+    payload = r.rest()
     if flags & FLAG_RLE:
         flat = rle_decode(payload, expected)
     else:
@@ -107,8 +90,8 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
         flat = np.frombuffer(payload, dtype=np.uint8)
     if flat.size and flat.max() >= k:
         raise SceneFormatError("label out of range for class table")
-    labels = flat.astype(np.int64).reshape((x, y, z), order="F")
-    table = ClassTable(tuple(names), palette, np.ones(k))
+    labels = flat.astype(np.int64, copy=False).reshape((x, y, z), order="F")
+    table = ClassTable(names, palette, np.ones(k))
     return VoxelGrid(labels), table
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import denoiser as dn
 from . import nn
-from .diffusion import sample_loop, softmax
+from .diffusion import sample_loop, weighted_cross_entropy
 from .grids import CategoricalField, ClassTable, VoxelGrid, argmax_decode, one_hot, sparsify
 from .metrics import inverse_frequency_weights, report_from_pairs
 from .schedule import UniformTransition
@@ -73,11 +73,7 @@ def train_baseline(tasks, config: dn.DenoiserConfig, seed: int, epochs: int = 10
         x_in = _baseline_input(task.condition, config)
         logits, cache = dn.forward(params, config, x_in, BASELINE_TIMESTEP, with_cache=True)
         target = one_hot(task.target, config.num_classes).probs
-        p = softmax(logits)
-        logp = np.log(np.maximum(p, 1e-12))
-        loss = float(-np.mean((weights * target * logp).sum(axis=-1)))
-        wsum = (weights * target).sum(axis=-1, keepdims=True)
-        dlogits = (p * wsum - weights * target) / task.target.num_voxels
+        loss, dlogits = weighted_cross_entropy(logits, target, weights)
         return {"loss": loss}, dn.backward(params, config, cache, dlogits)
 
     rng = np.random.default_rng(seed)

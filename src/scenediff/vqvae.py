@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .checkpoint import load_model, save_model
 from .config import Triple, typed
-from .diffusion import softmax
+from .diffusion import weighted_cross_entropy
 from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
 from .metrics import inverse_frequency_weights, report_from_pairs
 
@@ -37,8 +37,9 @@ class VQVAEConfig:
     def __post_init__(self):
         typed(self)
         sizes = (self.num_classes, self.code_dim, self.hidden) + sum(self.strides, ())
-        if min(sizes) < 1 or self.num_codes < 2:
-            raise ValueError(f"sizes and strides must be >= 1 and num_codes >= 2 in {self}")
+        if min(sizes) < 1 or self.num_codes < 2 or self.beta_commit < 0:
+            raise ValueError("sizes and strides must be >= 1, num_codes >= 2 and "
+                             f"beta_commit >= 0 in {self}")
 
     @property
     def total_stride(self) -> tuple[int, int, int]:
@@ -99,7 +100,7 @@ def decode(params: dict, config: VQVAEConfig, zq: np.ndarray, with_cache=False):
     a1 = nn.relu(u1)
     logits = nn.patch_deconv(a1, params["dec2_w"], params["dec2_b"], s1, k)
     if with_cache:
-        return logits, dict(zq=zq, u1=u1, a1=a1)
+        return logits, dict(zq=zq, u1=u1, a1=a1, logits=logits)
     return logits
 
 
@@ -113,9 +114,7 @@ def vqvae_loss(x: CategoricalField, recon_logits: np.ndarray, z: np.ndarray,
     """
     if recon_logits.shape != x.probs.shape:
         raise ValueError("reconstruction shape mismatch")
-    p = softmax(recon_logits)
-    logp = np.log(np.maximum(p, 1e-12))
-    recon = float(-np.mean((weights * x.probs * logp).sum(axis=-1)))
+    recon, _ = weighted_cross_entropy(recon_logits, x.probs, weights)
     msq = float(np.mean(((z - zq) ** 2).sum(axis=-1)))
     return recon + msq + beta_commit * msq, recon, msq, beta_commit * msq
 
@@ -126,15 +125,10 @@ def vqvae_grads(params: dict, config: VQVAEConfig, x: CategoricalField,
     """Analytic gradients of the training loss under the straight-through rule."""
     s1, s2 = config.strides
     npos = int(np.prod(z.shape[:3]))
-    nvox = int(np.prod(x.probs.shape[:3]))
     grads = {}
 
     # reconstruction path back through the decoder
-    logits = nn.patch_deconv(dec_cache["a1"], params["dec2_w"], params["dec2_b"],
-                             s1, config.num_classes)
-    p = softmax(logits)
-    wsum = (weights * x.probs).sum(axis=-1, keepdims=True)
-    dlogits = (p * wsum - weights * x.probs) / nvox
+    _, dlogits = weighted_cross_entropy(dec_cache["logits"], x.probs, weights)
     da1, grads["dec2_w"], grads["dec2_b"] = nn.patch_deconv_backward(
         dec_cache["a1"], params["dec2_w"], dlogits, s1)
     du1 = nn.relu_backward(dec_cache["u1"], da1)

@@ -1,6 +1,7 @@
 """Shared fixtures: small valid model checkpoints and malformed variants."""
 
 import json
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -72,12 +73,33 @@ def _denoiser_config_set(name, **values):
     return write
 
 
+def _denoiser_extra_array(name, shape):
+    """A denoiser file with one more array appended by hand, whose header claims
+    `shape` and whose payload is one float. numpy cannot build such arrays."""
+
+    def write(path):
+        dn.save_denoiser(path, dn.init_params(DENOISER, 0), DENOISER)
+        data = bytearray(path.read_bytes())
+        count_at = 10 + struct.unpack_from("<I", data, 6)[0]  # after magic, version, metadata
+        struct.pack_into("<I", data, count_at, struct.unpack_from("<I", data, count_at)[0] + 1)
+        data += struct.pack(f"<H5sB{len(shape)}If", 5, b"extra", len(shape), *shape, 1.0)
+        path.write_bytes(bytes(data))
+        return "denoiser"
+
+    write.__name__ = f"denoiser_{name}"
+    return write
+
+
+# a complete file whose array has more dims than numpy holds
+DEEP_ARRAY = _denoiser_extra_array("array_70_dims", (1,) * 70)
+
 MALFORMED = [_vqvae_missing_config_field, _denoiser_array_dropped, _denoiser_array_reshaped,
              _vqvae_as_denoiser, _pre_json_format,
              _denoiser_config_set("num_steps_null", num_steps=None),
              _denoiser_config_set("num_steps_fraction", num_steps=3.5),
              _denoiser_config_set("kernel_bool", kernel=True),
-             _denoiser_config_set("hidden_fraction", hidden=[3.7, 4])]
+             _denoiser_config_set("hidden_fraction", hidden=[3.7, 4]),
+             DEEP_ARRAY, _denoiser_extra_array("shape_overflows_int64", (2**32 - 1,) * 3)]
 
 
 @pytest.fixture(params=MALFORMED, ids=lambda f: f.__name__.lstrip("_"))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import DEEP_ARRAY
 from scenediff import denoiser as dn
 from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint, save_checkpoint
@@ -31,6 +32,14 @@ def test_malformed_model_file_raises_checkpoint_error(malformed_checkpoint):
     load(valid[loaded_as])
     with pytest.raises(CheckpointError):
         load(path)
+
+
+def test_array_numpy_cannot_hold_is_named_not_called_truncated(tmp_path):
+    path = tmp_path / "deep.vxdn"
+    DEEP_ARRAY(path)
+    with pytest.raises(CheckpointError, match="'extra'") as caught:
+        load_checkpoint(path)
+    assert "truncated" not in str(caught.value)
 
 
 def test_model_file_metadata_is_kind_json_config_and_extras(tmp_path):

@@ -141,7 +141,10 @@ BAD_SETTINGS = [  # (command, --set values, what the error line names)
     ("train-diffusion", ["hidden=0,4"], "hidden=(0, 4)"),
     ("train-vqvae", ["vq_strides=0,2,1;2,2,2"], "strides=((0, 2, 1)"),
     ("train-diffusion", ["dims=8x8x4"], "unknown key 'dims'"),
-    ("train-diffusion", ["num_classes=4"], "unknown key 'num_classes'")]
+    ("train-diffusion", ["num_classes=4"], "unknown key 'num_classes'"),
+    ("train-diffusion", ["w0=-1"], "w0"),
+    ("train-vqvae", ["vq_beta_commit=-5"], "beta_commit"),
+    ("train-diffusion", ["seed=-1"], "'seed'")]
 
 
 @pytest.mark.parametrize("command,settings,reason", BAD_SETTINGS,

@@ -15,24 +15,6 @@ def make_vq(seed=0):
     return vq.VQVAETrainResult(params, config, np.ones(4))
 
 
-def test_corrupt_indices_matches_matrix_product():
-    trans = UniformTransition(6, make_schedule("cosine", 15))
-    rng = np.random.default_rng(0)
-    idx = VoxelGrid(rng.integers(0, 6, size=(3, 3, 2)))
-    q = np.eye(6)
-    for t in range(1, 16):
-        q = q @ trans.single_step_matrix(t)
-        got = lat.corrupt_indices(idx, t, trans).flat()
-        expected = one_hot(idx, 6).flat() @ q
-        assert np.max(np.abs(got - expected)) < 1e-10
-
-
-def test_corrupt_indices_rejects_out_of_range():
-    trans = UniformTransition(4, make_schedule("cosine", 5))
-    with pytest.raises(ValueError):
-        lat.corrupt_indices(VoxelGrid(np.full((1, 1, 1), 4)), 1, trans)
-
-
 def test_encode_dataset_shapes_and_agreement():
     vqr = make_vq()
     data = generate_toy_dataset(ToySceneParams(dims=(8, 8, 4), num_classes=4,

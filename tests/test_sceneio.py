@@ -6,7 +6,7 @@ import pytest
 
 from scenediff import sceneio
 from scenediff.errors import SceneFormatError
-from scenediff.grids import VoxelGrid
+from scenediff.grids import ClassTable, VoxelGrid
 from scenediff.sceneio import export_ply, export_slices, load_scene, rle_decode, rle_encode, save_scene
 from scenediff.toydata import (ToySceneParams, driving_class_table, generate_toy_scene,
                                toy_class_table)
@@ -92,6 +92,23 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(SceneFormatError):
         load_scene(path)
+
+
+@pytest.mark.parametrize("rle", [False, True], ids=["raw", "rle"])
+def test_every_truncation_raises_scene_format_error(tmp_path, rle):
+    full = tmp_path / "full.vxsc"
+    # the non-ASCII class name lets a cut fall inside a UTF-8 sequence
+    table = ClassTable(("empty", "µ", "road"), ((0, 0, 0), (1, 2, 3), (4, 5, 6)), np.ones(3))
+    grid = VoxelGrid(np.arange(24).reshape(2, 3, 4) % 3)
+    save_scene(grid, table, full, rle=rle)
+    loaded, loaded_table = load_scene(full)
+    assert loaded == grid and loaded_table.names == table.names
+    data = full.read_bytes()
+    cut = tmp_path / "cut.vxsc"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(SceneFormatError):
+            load_scene(cut)
 
 
 def test_label_out_of_table_range(tmp_path):
