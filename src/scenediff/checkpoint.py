@@ -54,9 +54,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], metadata: dict[str, str
     Path(path).write_bytes(bytes(buf))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the sum of squares may overflow or meet a NaN
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Returns (params as float64 arrays, metadata). Raises CheckpointError on
-    malformed files."""
+    malformed files, and on arrays that are not finite, which saving refuses too."""
     r = Reader(Path(path).read_bytes(), CheckpointError)
     r.header(MAGIC, VERSION)
     (mlen,) = r.unpack("<I")
@@ -72,6 +73,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         (ndim,) = r.unpack("B")
         shape = r.unpack(f"<{ndim}I")
         arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4")
+        # A sum of squares is finite only if every value is. When it is not (a value
+        # that is not finite, or an overflow from large ones), check each value.
+        if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+            raise CheckpointError(f"array {name!r} is not finite")
         try:
             params[name] = arr.reshape(shape).astype(np.float64)
         except ValueError as exc:  # more dims, or a larger size, than numpy can hold

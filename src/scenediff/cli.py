@@ -45,8 +45,16 @@ def _overrides(args) -> dict:
     return {k.strip(): v.strip() for k, _, v in (item.partition("=") for item in args.set or [])}
 
 
+def _at_least_one(flag: str, value):
+    """`value`, an int or a tuple of ints, if each is >= 1; else a ConfigError naming `flag`."""
+    if min(np.atleast_1d(value)) < 1:
+        raise ConfigError(f"bad value {value!r} for {flag} (expected >= 1)")
+    return value
+
+
 def cmd_gen_data(args):
-    dims = convert(Triple, args.dims, "--dims")
+    dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
+    _at_least_one("--scenes", args.scenes)
     params = ToySceneParams(dims=dims, num_classes=args.classes)
     table = toy_class_table(args.classes)
     out = Path(args.out)
@@ -153,8 +161,9 @@ def _load_diffusion(path):
 
 
 def cmd_sample(args):
+    dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
+    _at_least_one("--count", args.count)
     params, config, trans = _load_diffusion(args.ckpt)
-    dims = convert(Triple, args.dims, "--dims")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vq_result = vq.load_vqvae(args.vqvae) if args.vqvae else None

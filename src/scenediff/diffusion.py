@@ -152,12 +152,10 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
         a, denom, abar_prev = _posterior_pieces(xt_flat, t, trans)
         post_pred = _posterior_from(p, a, denom, abar_prev)
         q_true = _posterior_from(one_hot(x0, k).flat(), a, denom, abar_prev)
-        post_floor = np.maximum(post_pred, PROB_FLOOR)
-        vb = float(np.mean(
-            np.where(q_true > 0, q_true * (np.log(q_true) - np.log(post_floor)), 0.0).sum(axis=-1)
-        ))
+        vb = float(np.mean(kl_categorical(q_true, post_pred)))
         # d vb / d p, through post = M p with M[j, m] = a_j qbar_prev[m, j] / denom_m
         # (the final renormalization has zero gradient since sum_j post_j == 1)
+        post_floor = np.maximum(post_pred, PROB_FLOOR)
         r = np.where(post_pred > PROB_FLOOR, q_true / post_floor, 0.0)
         g_post = -r / nvox
         g_p = _uniform_mix(g_post * a, abar_prev) / denom

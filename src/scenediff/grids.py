@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROB_ATOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class ClassTable:
@@ -15,24 +13,16 @@ class ClassTable:
 
     names: tuple[str, ...]
     colors: tuple[tuple[int, int, int], ...]
-    weights: np.ndarray  # (K,) nonnegative, at least one positive
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        k = len(self.names)
-        if len(self.colors) != k or w.shape != (k,):
-            raise ValueError("names, colors and weights must all have K entries")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("weights must be nonnegative with at least one positive")
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "colors", tuple(tuple(c) for c in self.colors))
+        if len(self.colors) != len(self.names):
+            raise ValueError("names and colors must both have K entries")
 
     @property
     def num_classes(self) -> int:
         return len(self.names)
-
-    @classmethod
-    def uniform(cls, names, colors) -> "ClassTable":
-        return cls(tuple(names), tuple(tuple(c) for c in colors), np.ones(len(names)))
 
 
 @dataclass
@@ -57,9 +47,6 @@ class VoxelGrid:
     def occupancy(self) -> np.ndarray:
         """Binary occupancy mask (label != free)."""
         return self.labels != 0
-
-    def copy(self) -> "VoxelGrid":
-        return VoxelGrid(self.labels.copy())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VoxelGrid) and np.array_equal(self.labels, other.labels)
@@ -88,13 +75,6 @@ class CategoricalField:
         """View as (num_voxels, K)."""
         return self.probs.reshape(-1, self.num_classes)
 
-    def validate(self):
-        if np.any(self.probs < 0):
-            raise ValueError("negative probability entry")
-        sums = self.probs.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > PROB_ATOL:
-            raise ValueError("per-voxel distributions must sum to 1")
-
 
 @dataclass(eq=False)
 class MetricsReport:
@@ -103,9 +83,6 @@ class MetricsReport:
     per_class_iou: np.ndarray
     miou: float
     completion_iou: float
-
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.per_class_iou)
 
 
 def one_hot(grid: VoxelGrid, num_classes: int) -> CategoricalField:

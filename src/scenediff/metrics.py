@@ -7,27 +7,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import ClassTable, MetricsReport, VoxelGrid
-
-
-def _check_dims(pred: VoxelGrid, gt: VoxelGrid):
-    if pred.dims != gt.dims:
-        raise ValueError(f"dim mismatch: {pred.dims} vs {gt.dims}")
-
-
-def completion_iou(pred: VoxelGrid, gt: VoxelGrid) -> float:
-    """Occupancy IoU, ignoring semantic labels. Two empty scenes count as 1.0."""
-    _check_dims(pred, gt)
-    p, g = pred.occupancy(), gt.occupancy()
-    union = np.count_nonzero(p | g)
-    if union == 0:
-        return 1.0
-    return np.count_nonzero(p & g) / union
+from .grids import MetricsReport, VoxelGrid
 
 
 def iou_counts(pred: VoxelGrid, gt: VoxelGrid, num_classes: int):
     """Per-class (intersection, union) counts, all K classes including free."""
-    _check_dims(pred, gt)
+    if pred.dims != gt.dims:
+        raise ValueError(f"dim mismatch: {pred.dims} vs {gt.dims}")
     inter = np.zeros(num_classes, dtype=np.int64)
     union = np.zeros(num_classes, dtype=np.int64)
     p = pred.labels.reshape(-1)
@@ -53,8 +39,9 @@ def report_from_counts(inter: np.ndarray, union: np.ndarray, comp: float) -> Met
 
 
 def report_from_pairs(pairs, num_classes: int) -> MetricsReport:
-    """Per-class IoU and completion IoU over (pred, gt) pairs, counts summed
-    across all pairs before dividing. Reads each pair once."""
+    """Per-class IoU (NaN for a class absent from every pair) and completion
+    (occupancy) IoU over (pred, gt) pairs, counts summed across all pairs before
+    dividing; an empty occupancy union counts as 1.0. Reads each pair once."""
     inter = np.zeros(num_classes, dtype=np.int64)
     union = np.zeros(num_classes, dtype=np.int64)
     occ_i = occ_u = 0
@@ -66,13 +53,6 @@ def report_from_pairs(pairs, num_classes: int) -> MetricsReport:
         occ_i += np.count_nonzero(po & go)
         occ_u += np.count_nonzero(po | go)
     return report_from_counts(inter, union, occ_i / occ_u if occ_u else 1.0)
-
-
-def mean_iou(pred: VoxelGrid, gt: VoxelGrid, table: ClassTable) -> MetricsReport:
-    """Per-class IoU over all K classes; classes absent from both grids are
-    excluded from the mean (marked NaN)."""
-    inter, union = iou_counts(pred, gt, table.num_classes)
-    return report_from_counts(inter, union, completion_iou(pred, gt))
 
 
 def inverse_frequency_weights(dataset: Sequence[VoxelGrid], num_classes: int) -> np.ndarray:

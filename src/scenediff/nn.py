@@ -151,9 +151,9 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> dict:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-3) -> dict:
     """One Adam update; returns new params, mutates the state in place."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     out = {}

@@ -91,7 +91,7 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
     if flat.size and flat.max() >= k:
         raise SceneFormatError("label out of range for class table")
     labels = flat.astype(np.int64, copy=False).reshape((x, y, z), order="F")
-    table = ClassTable(names, palette, np.ones(k))
+    table = ClassTable(names, palette)
     return VoxelGrid(labels), table
 
 

@@ -60,14 +60,13 @@ def _baseline_input(condition: VoxelGrid, config: dn.DenoiserConfig) -> np.ndarr
 
 
 def train_baseline(tasks, config: dn.DenoiserConfig, seed: int, epochs: int = 10,
-                   batch_size: int = 8, lr: float = 1e-3,
-                   weights: np.ndarray | None = None, log=None):
+                   batch_size: int = 8, lr: float = 1e-3, log=None):
     """Discriminative counterpart: identical architecture, condition-only input,
-    weighted cross-entropy against the target."""
+    cross-entropy against the target weighted by the targets' inverse class
+    frequencies."""
     if not config.conditioned:
         raise ValueError("baseline needs the K+1-channel architecture")
-    if weights is None:
-        weights = inverse_frequency_weights([t.target for t in tasks], config.num_classes)
+    weights = inverse_frequency_weights([t.target for t in tasks], config.num_classes)
 
     def loss_and_grads(params, task):
         x_in = _baseline_input(task.condition, config)

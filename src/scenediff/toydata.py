@@ -33,26 +33,8 @@ LABEL_POLE = 5
 def toy_class_table(num_classes: int) -> ClassTable:
     if not (2 <= num_classes <= len(_TOY_CLASSES)):
         raise ValueError(f"toy table supports 2..{len(_TOY_CLASSES)} classes")
-    rows = _TOY_CLASSES[:num_classes]
-    return ClassTable.uniform([n for n, _ in rows], [c for _, c in rows])
-
-
-def driving_class_table() -> ClassTable:
-    """The 11-class outdoor driving table (free + 10 semantic classes)."""
-    rows = [
-        ("Free", (0, 0, 0)),
-        ("Building", (255, 200, 0)),
-        ("Barrier", (255, 120, 50)),
-        ("Other", (55, 90, 80)),
-        ("Pedestrian", (255, 30, 30)),
-        ("Pole", (255, 240, 150)),
-        ("Road", (255, 0, 255)),
-        ("Ground", (175, 0, 75)),
-        ("Sidewalk", (75, 0, 75)),
-        ("Vegetation", (0, 175, 0)),
-        ("Vehicles", (100, 150, 245)),
-    ]
-    return ClassTable.uniform([n for n, _ in rows], [c for _, c in rows])
+    names, colors = zip(*_TOY_CLASSES[:num_classes])
+    return ClassTable(names, colors)
 
 
 @dataclass

@@ -41,13 +41,6 @@ class VQVAEConfig:
             raise ValueError("sizes and strides must be >= 1, num_codes >= 2 and "
                              f"beta_commit >= 0 in {self}")
 
-    @property
-    def total_stride(self) -> tuple[int, int, int]:
-        sx = sy = sz = 1
-        for s in self.strides:
-            sx, sy, sz = sx * s[0], sy * s[1], sz * s[2]
-        return (sx, sy, sz)
-
 
 def param_shapes(config: VQVAEConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in init draw order."""

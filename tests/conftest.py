@@ -90,6 +90,14 @@ def _denoiser_extra_array(name, shape):
     return write
 
 
+def _denoiser_nan_weight(path):
+    """A valid denoiser file whose last float32 is a signalling NaN, which the
+    cast to float64 would flag."""
+    dn.save_denoiser(path, dn.init_params(DENOISER, 0), DENOISER)
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
+    return "denoiser"
+
+
 # a complete file whose array has more dims than numpy holds
 DEEP_ARRAY = _denoiser_extra_array("array_70_dims", (1,) * 70)
 
@@ -99,7 +107,8 @@ MALFORMED = [_vqvae_missing_config_field, _denoiser_array_dropped, _denoiser_arr
              _denoiser_config_set("num_steps_fraction", num_steps=3.5),
              _denoiser_config_set("kernel_bool", kernel=True),
              _denoiser_config_set("hidden_fraction", hidden=[3.7, 4]),
-             DEEP_ARRAY, _denoiser_extra_array("shape_overflows_int64", (2**32 - 1,) * 3)]
+             DEEP_ARRAY, _denoiser_extra_array("shape_overflows_int64", (2**32 - 1,) * 3),
+             _denoiser_nan_weight]
 
 
 @pytest.fixture(params=MALFORMED, ids=lambda f: f.__name__.lstrip("_"))

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +41,23 @@ def test_array_numpy_cannot_hold_is_named_not_called_truncated(tmp_path):
     with pytest.raises(CheckpointError, match="'extra'") as caught:
         load_checkpoint(path)
     assert "truncated" not in str(caught.value)
+
+
+# signalling NaN, quiet NaN, inf, -inf as float32 bits
+@pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000])
+def test_load_refuses_arrays_not_finite(tmp_path, bits):
+    path = tmp_path / "x.vxdn"
+    save_checkpoint(path, {"w": np.ones(3), "b": np.ones(2)}, {})
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", bits))
+    with pytest.raises(CheckpointError, match="'b' is not finite"):
+        load_checkpoint(path)
+
+
+def test_load_accepts_finite_arrays_whose_sum_of_squares_overflows(tmp_path):
+    path = tmp_path / "x.vxdn"
+    big = np.array([3e38, -3e38], dtype=np.float32)
+    save_checkpoint(path, {"w": big}, {})
+    np.testing.assert_array_equal(load_checkpoint(path)[0]["w"], big)
 
 
 def test_model_file_metadata_is_kind_json_config_and_extras(tmp_path):

@@ -175,11 +175,27 @@ def test_train_rejects_mixed_class_tables(tmp_path, capsys):
 def test_bad_dims_flag_prints_one_error_line(tmp_path, capsys):
     ckpt = write_valid_models(tmp_path)["denoiser"]
     for argv in (["gen-data", "--dims", "8x8"],
-                 ["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"]):
+                 ["gen-data", "--dims", "0x8x4"],
+                 ["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"],
+                 ["sample", "--ckpt", str(ckpt), "--dims", "0x4x4"],
+                 ["sample", "--ckpt", str(ckpt), "--dims", "4x-1x4"]):
         assert run(argv + ["--out", str(tmp_path / "out")]) == 1
         text = capsys.readouterr().out
         assert text.startswith("error: ") and len(text.splitlines()) == 1
         assert "--dims" in text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag", [("gen-data", "--scenes"), ("sample", "--count")])
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_count_below_one_prints_one_error_line(tmp_path, capsys, command, flag, value):
+    argv = [command, flag, value, "--out", str(tmp_path / "out")]
+    if command == "sample":
+        argv += ["--ckpt", str(write_valid_models(tmp_path)["denoiser"])]
+    assert run(argv) == 1
+    text = capsys.readouterr().out
+    assert text.startswith("error: ") and len(text.splitlines()) == 1
+    assert flag in text
     assert not (tmp_path / "out").exists()
 
 

@@ -25,7 +25,8 @@ def test_one_hot_round_trip_and_normalization():
     for _ in range(20):
         g = random_grid(rng)
         f = one_hot(g, 4)
-        f.validate()
+        assert np.all(f.probs >= 0)
+        np.testing.assert_allclose(f.probs.sum(axis=-1), 1.0)
         assert argmax_decode(f) == g
 
 
@@ -38,11 +39,10 @@ def test_argmax_unique_max_and_tie_break():
 
 def test_class_table_invariants():
     with pytest.raises(ValueError):
-        ClassTable(("a", "b"), ((0, 0, 0),), np.ones(2))
-    with pytest.raises(ValueError):
-        ClassTable(("a", "b"), ((0, 0, 0), (1, 1, 1)), np.zeros(2))
-    t = ClassTable.uniform(["free", "solid"], [(0, 0, 0), (1, 2, 3)])
+        ClassTable(("a", "b"), ((0, 0, 0),))
+    t = ClassTable(["free", "solid"], [[0, 0, 0], (1, 2, 3)])
     assert t.num_classes == 2
+    assert (t.names, t.colors) == (("free", "solid"), ((0, 0, 0), (1, 2, 3)))
 
 
 def test_sparsify_full_retention_equals_binarized_input():

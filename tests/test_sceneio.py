@@ -8,8 +8,7 @@ from scenediff import sceneio
 from scenediff.errors import SceneFormatError
 from scenediff.grids import ClassTable, VoxelGrid
 from scenediff.sceneio import export_ply, export_slices, load_scene, rle_decode, rle_encode, save_scene
-from scenediff.toydata import (ToySceneParams, driving_class_table, generate_toy_scene,
-                               toy_class_table)
+from scenediff.toydata import ToySceneParams, generate_toy_scene, toy_class_table
 
 
 def test_round_trip_raw_and_rle(tmp_path):
@@ -98,7 +97,7 @@ def test_truncated_payload(tmp_path):
 def test_every_truncation_raises_scene_format_error(tmp_path, rle):
     full = tmp_path / "full.vxsc"
     # the non-ASCII class name lets a cut fall inside a UTF-8 sequence
-    table = ClassTable(("empty", "µ", "road"), ((0, 0, 0), (1, 2, 3), (4, 5, 6)), np.ones(3))
+    table = ClassTable(("empty", "µ", "road"), ((0, 0, 0), (1, 2, 3), (4, 5, 6)))
     grid = VoxelGrid(np.arange(24).reshape(2, 3, 4) % 3)
     save_scene(grid, table, full, rle=rle)
     loaded, loaded_table = load_scene(full)
@@ -155,14 +154,14 @@ def test_rle_claim_beyond_dims_is_rejected_before_allocation(tmp_path):
 
 
 def test_export_ply_counts_and_palette(tmp_path):
-    table = driving_class_table()
+    table = toy_class_table(11)
     empty = VoxelGrid(np.zeros((3, 3, 2), dtype=int))
     export_ply(empty, table, tmp_path / "empty.ply")
     text = (tmp_path / "empty.ply").read_text()
     assert "element vertex 0" in text
 
     labels = np.zeros((3, 3, 2), dtype=int)
-    labels[0, 0, 0] = 10  # Vehicles
+    labels[0, 0, 0] = 4  # Vehicles
     labels[1, 1, 1] = 1
     export_ply(VoxelGrid(labels), table, tmp_path / "two.ply")
     lines = (tmp_path / "two.ply").read_text().splitlines()

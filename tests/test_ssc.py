@@ -70,18 +70,6 @@ def test_baseline_training_and_determinism():
     assert pred == ssc.baseline_predict(p1, config, tasks[0].condition)
 
 
-def test_baseline_uniform_weights_match_explicit_ones():
-    data = generate_toy_dataset(PARAMS, 4, 2)
-    tasks = ssc.build_tasks(data, 0.3, 0)
-    config = small_config()
-    p1, h1 = ssc.train_baseline(tasks, config, seed=0, epochs=2,
-                                weights=np.ones(4))
-    p2, h2 = ssc.train_baseline(tasks, config, seed=0, epochs=2,
-                                weights=np.ones(4) * 1.0)
-    assert h1 == h2
-    assert all(np.array_equal(p1[k], p2[k]) for k in p1)
-
-
 def test_training_rejects_unconditioned_config():
     data = generate_toy_dataset(PARAMS, 2, 0)
     tasks = ssc.build_tasks(data, 0.3, 0)

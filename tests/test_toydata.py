@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from scenediff.toydata import (LABEL_GROUND, ToySceneParams, driving_class_table,
-                               generate_toy_scene, toy_class_table)
+from scenediff.toydata import LABEL_GROUND, ToySceneParams, generate_toy_scene, toy_class_table
 
 
 def test_determinism():
@@ -38,6 +37,6 @@ def test_tables():
     t = toy_class_table(5)
     assert t.names[0] == "Free"
     assert t.num_classes == 5
-    full = driving_class_table()
+    full = toy_class_table(11)
     assert full.num_classes == 11
     assert full.colors[full.names.index("Vehicles")] == (100, 150, 245)

@@ -50,7 +50,7 @@ def test_shape_chain_small_and_large():
     # full-scale stride plan: 128x128x8 compresses to a 32x32x2 index grid
     big = vq.VQVAEConfig(num_classes=11, num_codes=4, code_dim=2, hidden=3,
                          strides=((2, 2, 2), (2, 2, 2)))
-    assert big.total_stride == (4, 4, 4)
+    assert tuple(np.prod(big.strides, axis=0)) == (4, 4, 4)
     params = vq.init_params(big, 0)
     z = vq.encode(params, big, one_hot(VoxelGrid(np.zeros((128, 128, 8), dtype=int)), 11))
     assert z.shape == (32, 32, 2, 2)
