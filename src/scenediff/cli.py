@@ -164,16 +164,16 @@ def cmd_sample(args):
     dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
     _at_least_one("--count", args.count)
     params, config, trans = _load_diffusion(args.ckpt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     vq_result = vq.load_vqvae(args.vqvae) if args.vqvae else None
     table = toy_class_table(vq_result.config.num_classes if vq_result else config.num_classes)
+    out = Path(args.out)
     for i in range(args.count):
         rng = np.random.default_rng((args.seed, i))
         if vq_result is not None:
             grid = lat.sample_latent(params, config, vq_result, dims, trans, rng)
         else:
             grid = sample_loop(dn.as_denoiser_fn(params, config), dims, trans, rng)
+        out.mkdir(parents=True, exist_ok=True)  # once the first sample has passed every check
         save_scene(grid, table, out / f"sample_{i:04d}.vxsc")
     print(f"wrote {args.count} samples to {out}")
 

@@ -95,28 +95,25 @@ def backward(params: dict, config: DenoiserConfig, cache: dict,
              upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients for the given upstream d(loss)/d(logits)."""
     grads = {}
-    da3, grads["out_w"], grads["out_b"] = nn.conv3d_same_backward(
+    grads["out_w"], grads["out_b"] = nn.conv3d_same_backward(
         cache["a3"], params["out_w"], upstream)
-    da1_skip = da3  # skip branch
+    da3 = nn.conv3d_same_adjoint(upstream, params["out_w"])
     dpre3 = nn.relu_backward(cache["pre3"], da3)
-    da2, grads["dec1_w"], grads["dec1_b"] = nn.conv3d_same_backward(
+    grads["dec1_w"], grads["dec1_b"] = nn.conv3d_same_backward(
         cache["a2"], params["dec1_w"], dpre3)
-    dpre2 = nn.relu_backward(cache["pre2"], da2)
-    da1, grads["enc2_w"], grads["enc2_b"] = nn.conv3d_same_backward(
+    dpre2 = nn.relu_backward(cache["pre2"], nn.conv3d_same_adjoint(dpre3, params["dec1_w"]))
+    grads["enc2_w"], grads["enc2_b"] = nn.conv3d_same_backward(
         cache["a1"], params["enc2_w"], dpre2)
-    dpre1 = nn.relu_backward(cache["pre1"], da1 + da1_skip)
-    _, grads["enc1_w"], grads["enc1_b"] = nn.conv3d_same_backward(
+    # a1 gets da3 through the skip branch; the input x_in needs no gradient
+    dpre1 = nn.relu_backward(cache["pre1"], nn.conv3d_same_adjoint(dpre2, params["enc2_w"]) + da3)
+    grads["enc1_w"], grads["enc1_b"] = nn.conv3d_same_backward(
         cache["x_in"], params["enc1_w"], dpre1)
 
-    # time-embedding MLP: each stage bias broadcasts over voxels
-    db1 = dpre1.reshape(-1, dpre1.shape[-1]).sum(axis=0)
-    db2 = dpre2.reshape(-1, dpre2.shape[-1]).sum(axis=0)
-    db3 = dpre3.reshape(-1, dpre3.shape[-1]).sum(axis=0)
-    dbias = np.concatenate([db1, db2, db3])
+    # time-embedding MLP: each stage bias broadcasts over voxels, as the conv bias does
+    dbias = np.concatenate([grads["enc1_b"], grads["enc2_b"], grads["dec1_b"]])
     grads["temb_w2"] = np.outer(cache["th"], dbias)
     grads["temb_b2"] = dbias
-    dth = params["temb_w2"] @ dbias
-    dtpre = np.where(cache["tpre"] > 0, dth, 0.0)
+    dtpre = nn.relu_backward(cache["tpre"], params["temb_w2"] @ dbias)
     grads["temb_w1"] = np.outer(cache["e"], dtpre)
     grads["temb_b1"] = dtpre
     return grads

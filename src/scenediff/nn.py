@@ -7,18 +7,33 @@ Two conv flavors are used by the models:
 Layouts are channels-last: activations (X, Y, Z, C); same-conv weights
 (k, k, k, Cin, Cout); patch weights (prod(stride) * Cin, Cout).
 
+Each `*_backward` returns only the parameter gradients (dw, db). An input
+gradient is the adjoint's forward pass, run only where a caller reads it:
+`conv3d_same_adjoint(dy, w)`, `patch_deconv(dy, w.T, 0.0, stride, Cin)` for a
+patch conv and `patch_conv(dy, w.T, 0.0, stride)` for a patch deconv.
+
 Adam and the one minibatch training loop (`batch_step`, `fit`) that every
 model trains with live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TrainingDiverged
+
+
+def _taps(x: np.ndarray, k: int):
+    """(tap, window of the zero-padded input it multiplies) for each tap of a k-cube."""
+    pad = k // 2
+    xp = np.pad(x, ((pad, pad), (pad, pad), (pad, pad), (0, 0)))
+    sx, sy, sz = x.shape[:3]
+    for i, j, l in itertools.product(range(k), repeat=3):
+        yield (i, j, l), xp[i : i + sx, j : j + sy, l : l + sz, :]
 
 
 def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -28,36 +43,24 @@ def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("kernel must be cubic with odd size")
     if x.shape[-1] != w.shape[3]:
         raise ValueError(f"channel mismatch: {x.shape[-1]} vs {w.shape[3]}")
-    pad = k // 2
-    xp = np.pad(x, ((pad, pad), (pad, pad), (pad, pad), (0, 0)))
-    sx, sy, sz = x.shape[:3]
-    y = np.tile(b, (sx, sy, sz, 1)).astype(np.float64)
-    for dx in range(k):
-        for dy in range(k):
-            for dz in range(k):
-                patch = xp[dx : dx + sx, dy : dy + sy, dz : dz + sz, :]
-                y += patch @ w[dx, dy, dz]
+    y = np.tile(b, x.shape[:3] + (1,)).astype(np.float64)
+    for tap, patch in _taps(x, k):
+        y += patch @ w[tap]
     return y
 
 
 def conv3d_same_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Gradients (dx, dw, db) of conv3d_same for upstream gradient dy."""
-    k = w.shape[0]
-    pad = k // 2
-    sx, sy, sz = x.shape[:3]
-    xp = np.pad(x, ((pad, pad), (pad, pad), (pad, pad), (0, 0)))
-    dxp = np.zeros_like(xp)
+    """Parameter gradients (dw, db) of conv3d_same for upstream gradient dy."""
     dw = np.zeros_like(w)
     dy2 = dy.reshape(-1, dy.shape[-1])
-    for dx_ in range(k):
-        for dy_ in range(k):
-            for dz_ in range(k):
-                patch = xp[dx_ : dx_ + sx, dy_ : dy_ + sy, dz_ : dz_ + sz, :]
-                dw[dx_, dy_, dz_] = patch.reshape(-1, patch.shape[-1]).T @ dy2
-                dxp[dx_ : dx_ + sx, dy_ : dy_ + sy, dz_ : dz_ + sz, :] += dy @ w[dx_, dy_, dz_].T
-    db = dy2.sum(axis=0)
-    dx = dxp[pad : pad + sx, pad : pad + sy, pad : pad + sz, :]
-    return dx, dw, db
+    for tap, patch in _taps(x, w.shape[0]):
+        dw[tap] = patch.reshape(-1, patch.shape[-1]).T @ dy2
+    return dw, dy2.sum(axis=0)
+
+
+def conv3d_same_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of conv3d_same: conv3d_same of dy with the flipped, transposed kernel."""
+    return conv3d_same(dy, w[::-1, ::-1, ::-1].swapaxes(3, 4), np.zeros(w.shape[3]))
 
 
 def patchify(x: np.ndarray, stride: tuple[int, int, int]) -> np.ndarray:
@@ -84,14 +87,14 @@ def patch_conv(x, w, b, stride):
     return patchify(x, stride) @ w + b
 
 
-def patch_conv_backward(x, w, dy, stride):
-    cols = patchify(x, stride)
+def _dense_backward(x, dy):
+    """Parameter gradients (dw, db) of y = x @ w + b over every leading axis."""
     flat_dy = dy.reshape(-1, dy.shape[-1])
-    dw = cols.reshape(-1, cols.shape[-1]).T @ flat_dy
-    db = flat_dy.sum(axis=0)
-    dcols = dy @ w.T
-    dx = unpatchify(dcols, stride, x.shape[-1])
-    return dx, dw, db
+    return x.reshape(-1, x.shape[-1]).T @ flat_dy, flat_dy.sum(axis=0)
+
+
+def patch_conv_backward(x, dy, stride):
+    return _dense_backward(patchify(x, stride), dy)
 
 
 def patch_deconv(z, w, b, stride, out_channels):
@@ -100,13 +103,8 @@ def patch_deconv(z, w, b, stride, out_channels):
     return unpatchify(p, stride, out_channels)
 
 
-def patch_deconv_backward(z, w, dy, stride):
-    dp = patchify(dy, stride)
-    flat = dp.reshape(-1, dp.shape[-1])
-    dw = z.reshape(-1, z.shape[-1]).T @ flat
-    db = flat.sum(axis=0)
-    dz = dp @ w.T
-    return dz, dw, db
+def patch_deconv_backward(z, dy, stride):
+    return _dense_backward(z, patchify(dy, stride))
 
 
 def relu(x):

@@ -45,16 +45,19 @@ class ToySceneParams:
     num_vehicles: int = 2
     num_poles: int = 2
 
+    def __post_init__(self):
+        x, y, z = self.dims
+        if x < 8 or y < 8 or z < 4:
+            raise ValueError(f"dims must be at least 8x8x4; got {x}x{y}x{z}")
+        if self.num_classes < 4:
+            raise ValueError(f"need at least 4 classes; got {self.num_classes}")
+
 
 def generate_toy_scene(params: ToySceneParams, seed: int) -> VoxelGrid:
     """Deterministic procedural scene: ground plane, road stripe, buildings,
     vehicles, and (given enough classes) poles."""
     x, y, z = params.dims
     k = params.num_classes
-    if x < 8 or y < 8 or z < 4:
-        raise ValueError("dims must be at least 8x8x4")
-    if k < 4:
-        raise ValueError("need at least 4 classes")
     rng = np.random.default_rng(seed)
     labels = np.zeros((x, y, z), dtype=np.int64)
 

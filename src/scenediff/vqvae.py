@@ -93,49 +93,48 @@ def decode(params: dict, config: VQVAEConfig, zq: np.ndarray, with_cache=False):
     a1 = nn.relu(u1)
     logits = nn.patch_deconv(a1, params["dec2_w"], params["dec2_b"], s1, k)
     if with_cache:
-        return logits, dict(zq=zq, u1=u1, a1=a1, logits=logits)
+        return logits, dict(zq=zq, u1=u1, a1=a1)
     return logits
 
 
 def vqvae_loss(x: CategoricalField, recon_logits: np.ndarray, z: np.ndarray,
                zq: np.ndarray, weights: np.ndarray, beta_commit: float):
-    """(total, recon, codebook_term, commit_term).
+    """(total, recon, codebook_term, commit_term, dlogits).
 
-    recon is the class-weighted cross-entropy, averaged over voxels; the two
-    quantization terms are the mean squared latent error, which play the roles
-    of the stopped-gradient codebook and commitment penalties during training.
+    recon is the class-weighted cross-entropy, averaged over voxels, and dlogits
+    its gradient, which `vqvae_grads` takes; the two quantization terms are the
+    mean squared latent error, which play the roles of the stopped-gradient
+    codebook and commitment penalties during training.
     """
     if recon_logits.shape != x.probs.shape:
         raise ValueError("reconstruction shape mismatch")
-    recon, _ = weighted_cross_entropy(recon_logits, x.probs, weights)
+    recon, dlogits = weighted_cross_entropy(recon_logits, x.probs, weights)
     msq = float(np.mean(((z - zq) ** 2).sum(axis=-1)))
-    return recon + msq + beta_commit * msq, recon, msq, beta_commit * msq
+    return recon + msq + beta_commit * msq, recon, msq, beta_commit * msq, dlogits
 
 
-def vqvae_grads(params: dict, config: VQVAEConfig, x: CategoricalField,
+def vqvae_grads(params: dict, config: VQVAEConfig, dlogits: np.ndarray,
                 enc_cache: dict, dec_cache: dict, z: np.ndarray, zq: np.ndarray,
-                idx: np.ndarray, weights: np.ndarray):
-    """Analytic gradients of the training loss under the straight-through rule."""
+                idx: np.ndarray):
+    """Analytic gradients of the training loss under the straight-through rule,
+    given the reconstruction's logit gradient `dlogits` from `vqvae_loss`."""
     s1, s2 = config.strides
     npos = int(np.prod(z.shape[:3]))
     grads = {}
 
     # reconstruction path back through the decoder
-    _, dlogits = weighted_cross_entropy(dec_cache["logits"], x.probs, weights)
-    da1, grads["dec2_w"], grads["dec2_b"] = nn.patch_deconv_backward(
-        dec_cache["a1"], params["dec2_w"], dlogits, s1)
-    du1 = nn.relu_backward(dec_cache["u1"], da1)
-    dzq_recon, grads["dec1_w"], grads["dec1_b"] = nn.patch_deconv_backward(
-        dec_cache["zq"], params["dec1_w"], du1, s2)
+    grads["dec2_w"], grads["dec2_b"] = nn.patch_deconv_backward(dec_cache["a1"], dlogits, s1)
+    du1 = nn.relu_backward(dec_cache["u1"], nn.patch_conv(dlogits, params["dec2_w"].T, 0.0, s1))
+    grads["dec1_w"], grads["dec1_b"] = nn.patch_deconv_backward(dec_cache["zq"], du1, s2)
 
     # straight-through: the decoder's input gradient flows to the encoder as-is;
     # the commitment term adds beta * d/dz of the mean squared latent error
-    dz = dzq_recon + config.beta_commit * 2.0 * (z - zq) / npos
-    da1e, grads["enc2_w"], grads["enc2_b"] = nn.patch_conv_backward(
-        enc_cache["a1"], params["enc2_w"], dz, s2)
+    dz = (nn.patch_conv(du1, params["dec1_w"].T, 0.0, s2)
+          + config.beta_commit * 2.0 * (z - zq) / npos)
+    grads["enc2_w"], grads["enc2_b"] = nn.patch_conv_backward(enc_cache["a1"], dz, s2)
+    da1e = nn.patch_deconv(dz, params["enc2_w"].T, 0.0, s2, config.hidden)
     dpre1 = nn.relu_backward(enc_cache["pre1"], da1e)
-    _, grads["enc1_w"], grads["enc1_b"] = nn.patch_conv_backward(
-        enc_cache["x"], params["enc1_w"], dpre1, s1)
+    grads["enc1_w"], grads["enc1_b"] = nn.patch_conv_backward(enc_cache["x"], dpre1, s1)
 
     # codebook term: pulls each used code toward its assigned latents
     dcodes = np.zeros_like(params["codes"])
@@ -194,10 +193,10 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
         z, enc_cache = encode(params, config, x, with_cache=True)
         zq, idx = quantize(params["codes"], z)
         logits, dec_cache = decode(params, config, zq, with_cache=True)
-        total, *_ = vqvae_loss(x, logits, z, zq, weights, config.beta_commit)
+        total, *_, dlogits = vqvae_loss(x, logits, z, zq, weights, config.beta_commit)
         usage[:] += np.bincount(idx.reshape(-1), minlength=config.num_codes)
         buffer.append(z.reshape(-1, config.code_dim))
-        grads = vqvae_grads(params, config, x, enc_cache, dec_cache, z, zq, idx, weights)
+        grads = vqvae_grads(params, config, dlogits, enc_cache, dec_cache, z, zq, idx)
         return {"loss": total}, grads
 
     def end_epoch(params):

@@ -162,14 +162,14 @@ def test_criterion_05_gradient_fidelity():
     weights = np.linspace(0.5, 1.5, 3)
     z, enc_cache = vq.encode(vparams, vconfig, xf, with_cache=True)
     zq, idx = vq.quantize(vparams["codes"], z)
-    _, dec_cache = vq.decode(vparams, vconfig, zq, with_cache=True)
-    vgrads = vq.vqvae_grads(vparams, vconfig, xf, enc_cache, dec_cache,
-                            z, zq, idx, weights)
+    logits, dec_cache = vq.decode(vparams, vconfig, zq, with_cache=True)
+    *_, dlogits = vq.vqvae_loss(xf, logits, z, zq, weights, vconfig.beta_commit)
+    vgrads = vq.vqvae_grads(vparams, vconfig, dlogits, enc_cache, dec_cache, z, zq, idx)
 
     def vq_scalar():
         zz = vq.encode(vparams, vconfig, xf)
         logits = vq.decode(vparams, vconfig, zz + (zq - z))
-        _, recon, _, _ = vq.vqvae_loss(xf, logits, zz, zz, weights, 0.0)
+        _, recon, *_ = vq.vqvae_loss(xf, logits, zz, zz, weights, 0.0)
         npos = int(np.prod(zz.shape[:3]))
         codebook = float(((vparams["codes"][idx] - z) ** 2).sum()) / npos
         commit = vconfig.beta_commit * float(((zz - zq) ** 2).sum()) / npos

@@ -174,15 +174,17 @@ def test_train_rejects_mixed_class_tables(tmp_path, capsys):
 
 def test_bad_dims_flag_prints_one_error_line(tmp_path, capsys):
     ckpt = write_valid_models(tmp_path)["denoiser"]
-    for argv in (["gen-data", "--dims", "8x8"],
-                 ["gen-data", "--dims", "0x8x4"],
-                 ["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"],
-                 ["sample", "--ckpt", str(ckpt), "--dims", "0x4x4"],
-                 ["sample", "--ckpt", str(ckpt), "--dims", "4x-1x4"]):
+    for argv, expected in ((["gen-data", "--dims", "8x8"], "--dims"),
+                           (["gen-data", "--dims", "0x8x4"], "--dims"),
+                           (["gen-data", "--dims", "4x8x4"], "8x8x4"),
+                           (["gen-data", "--classes", "3"], "4 classes"),
+                           (["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"], "--dims"),
+                           (["sample", "--ckpt", str(ckpt), "--dims", "0x4x4"], "--dims"),
+                           (["sample", "--ckpt", str(ckpt), "--dims", "4x-1x4"], "--dims")):
         assert run(argv + ["--out", str(tmp_path / "out")]) == 1
         text = capsys.readouterr().out
         assert text.startswith("error: ") and len(text.splitlines()) == 1
-        assert "--dims" in text
+        assert expected in text
     assert not (tmp_path / "out").exists()
 
 
@@ -328,6 +330,7 @@ def test_sample_rejects_latent_codebook_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("error: ") and len(out.splitlines()) == 1
     assert "codebook" in out
+    assert not (tmp_path / "s").exists()
 
 
 def test_malformed_checkpoint_prints_one_error_line(malformed_checkpoint, tmp_path, capsys):
@@ -340,3 +343,4 @@ def test_malformed_checkpoint_prints_one_error_line(malformed_checkpoint, tmp_pa
     assert run(argv + ["--out", str(tmp_path / "s")]) == 1
     out = capsys.readouterr().out
     assert out.startswith("error: ") and len(out.splitlines()) == 1
+    assert not (tmp_path / "s").exists()

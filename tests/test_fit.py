@@ -61,6 +61,20 @@ def test_every_trainer_raises_divergence_from_the_shared_check(name, monkeypatch
     assert Path(raised_in.path).name == "nn.py" and raised_in.name == "batch_step"
 
 
+def _trained_params(result):
+    """The parameter dict of a trainer's result: a tuple's first item or `.params`."""
+    return result[0] if isinstance(result, tuple) else result.params
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_every_trainer_is_bit_deterministic_given_its_seed(name):
+    _, train = TRAINERS[name]
+    first, second = (_trained_params(train()) for _ in range(2))
+    assert first.keys() == second.keys()
+    for key in first:
+        assert np.array_equal(first[key], second[key]), key
+
+
 def test_batch_step_averages_records_and_gradients_in_batch_order():
     params = {"w": np.zeros(2)}
 

@@ -1,5 +1,6 @@
 """The conv primitives against their definitions: naive loops for the forward
-passes, adjoint identities and per-block loops for the backward passes."""
+passes, adjoint identities and per-block loops for the backward passes and for
+the adjoint forward passes that give the input gradients."""
 
 import itertools
 
@@ -48,7 +49,8 @@ def test_conv3d_same_backward_is_the_adjoint(dims, k):
     zero_w, zero_b = np.zeros((k, k, k, CIN, COUT)), np.zeros(COUT)
     for seed in range(3):
         x, w, b, dy = random_conv(dims, k, seed)
-        dx, dw, db = nn.conv3d_same_backward(x, w, dy)
+        dw, db = nn.conv3d_same_backward(x, w, dy)
+        dx = nn.conv3d_same_adjoint(dy, w)
         assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
         # the conv is linear in x (for fixed w), in w (for fixed x) and in b
         out = np.vdot(nn.conv3d_same(x, w, zero_b), dy)
@@ -91,7 +93,8 @@ def test_patch_conv_and_backward_match_blocks():
     x, w = rng.normal(size=(4, 3, 3, CIN)), rng.normal(size=(6 * CIN, COUT))
     b, dy = rng.normal(size=COUT), rng.normal(size=BLOCKS + (COUT,))
     y = nn.patch_conv(x, w, b, STRIDE)
-    dx, dw, db = nn.patch_conv_backward(x, w, dy, STRIDE)
+    dw, db = nn.patch_conv_backward(x, dy, STRIDE)
+    dx = nn.patch_deconv(dy, w.T, 0.0, STRIDE, CIN)
     ref_dx, ref_dw = np.zeros_like(x), np.zeros_like(w)
     for idx, sl in blocks():
         np.testing.assert_allclose(y[idx], x[sl].reshape(-1) @ w + b, rtol=1e-12)
@@ -108,7 +111,8 @@ def test_patch_deconv_and_backward_match_blocks():
     b, dy = rng.normal(size=6 * COUT), rng.normal(size=(4, 3, 3, COUT))
     y = nn.patch_deconv(z, w, b, STRIDE, COUT)
     assert y.shape == dy.shape
-    dz, dw, db = nn.patch_deconv_backward(z, w, dy, STRIDE)
+    dw, db = nn.patch_deconv_backward(z, dy, STRIDE)
+    dz = nn.patch_conv(dy, w.T, 0.0, STRIDE)
     ref_dw, ref_db = np.zeros_like(w), np.zeros_like(b)
     for idx, sl in blocks():
         np.testing.assert_allclose(y[sl], (z[idx] @ w + b).reshape(y[sl].shape), rtol=1e-12)

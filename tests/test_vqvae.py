@@ -63,12 +63,12 @@ def test_loss_zero_cases():
     x = one_hot(g, 3)
     perfect = np.log(x.probs + 1e-12) * 30  # sharpen toward one-hot
     z = np.random.default_rng(1).normal(size=(1, 1, 1, 2))
-    total, recon, code, commit = vq.vqvae_loss(x, perfect, z, z.copy(), w, 0.25)
+    total, recon, code, commit, _ = vq.vqvae_loss(x, perfect, z, z.copy(), w, 0.25)
     assert recon < 1e-6
     assert code == 0.0 and commit == 0.0
     # squared-error terms match a direct computation
     zq = z + 1.0
-    _, _, code, commit = vq.vqvae_loss(x, perfect, z, zq, w, 0.25)
+    _, _, code, commit, _ = vq.vqvae_loss(x, perfect, z, zq, w, 0.25)
     assert code == pytest.approx(2.0)  # sum over d of 1^2, d=2
     assert commit == pytest.approx(0.5)
     with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def surrogate_loss(params, config, x, weights, frozen_idx, z0, zq0):
     codebook term sees a constant z, the commitment term a constant zq."""
     z = vq.encode(params, config, x)
     logits = vq.decode(params, config, z + (zq0 - z0))
-    _, recon, _, _ = vq.vqvae_loss(x, logits, z, z, weights, 0.0)
+    _, recon, *_ = vq.vqvae_loss(x, logits, z, z, weights, 0.0)
     npos = int(np.prod(z.shape[:3]))
     codebook = float(((params["codes"][frozen_idx] - z0) ** 2).sum()) / npos
     commit = config.beta_commit * float(((z - zq0) ** 2).sum()) / npos
@@ -97,8 +97,9 @@ def test_straight_through_gradients_match_finite_differences():
     weights = np.linspace(0.5, 1.5, 4)
     z, enc_cache = vq.encode(params, SMALL, x, with_cache=True)
     zq, idx = vq.quantize(params["codes"], z)
-    _, dec_cache = vq.decode(params, SMALL, zq, with_cache=True)
-    grads = vq.vqvae_grads(params, SMALL, x, enc_cache, dec_cache, z, zq, idx, weights)
+    logits, dec_cache = vq.decode(params, SMALL, zq, with_cache=True)
+    *_, dlogits = vq.vqvae_loss(x, logits, z, zq, weights, SMALL.beta_commit)
+    grads = vq.vqvae_grads(params, SMALL, dlogits, enc_cache, dec_cache, z, zq, idx)
 
     h = 1e-5
     worst = 0.0
