@@ -4,6 +4,10 @@ Two conv flavors are used by the models:
   * conv3d_same: stride-1, odd kernel, zero same-padding (denoiser stages).
   * patch conv / deconv: kernel == stride, no overlap (VQ-VAE encoder/decoder).
 
+conv3d_same and its dw walk the k^3 taps (`_taps`): each tap's window of the
+zero-padded input is copied into one contiguous (V, C) buffer, reused across
+taps, so every tap is a single 2-D GEMM over all V voxels.
+
 Layouts are channels-last: activations (X, Y, Z, C); same-conv weights
 (k, k, k, Cin, Cout); patch weights (prod(stride) * Cin, Cout).
 
@@ -28,12 +32,20 @@ from .errors import TrainingDiverged
 
 
 def _taps(x: np.ndarray, k: int):
-    """(tap, window of the zero-padded input it multiplies) for each tap of a k-cube."""
+    """(tap, (V, C) patch) for each tap of a k-cube, V = X*Y*Z voxels.
+
+    A patch is the tap's window of the zero-padded input, copied into one
+    contiguous buffer, so each tap is a single 2-D GEMM. The buffer is reused:
+    a patch is valid only until the next tap is yielded.
+    """
     pad = k // 2
     xp = np.pad(x, ((pad, pad), (pad, pad), (pad, pad), (0, 0)))
-    sx, sy, sz = x.shape[:3]
+    sx, sy, sz, c = x.shape
+    patch = np.empty((sx * sy * sz, c), dtype=xp.dtype)
+    window = patch.reshape(x.shape)
     for i, j, l in itertools.product(range(k), repeat=3):
-        yield (i, j, l), xp[i : i + sx, j : j + sy, l : l + sz, :]
+        window[...] = xp[i : i + sx, j : j + sy, l : l + sz, :]
+        yield (i, j, l), patch
 
 
 def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,18 +55,18 @@ def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("kernel must be cubic with odd size")
     if x.shape[-1] != w.shape[3]:
         raise ValueError(f"channel mismatch: {x.shape[-1]} vs {w.shape[3]}")
-    y = np.tile(b, x.shape[:3] + (1,)).astype(np.float64)
+    y = np.tile(b, (math.prod(x.shape[:3]), 1)).astype(np.float64)
     for tap, patch in _taps(x, k):
         y += patch @ w[tap]
-    return y
+    return y.reshape(x.shape[:3] + (-1,))
 
 
 def conv3d_same_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
     """Parameter gradients (dw, db) of conv3d_same for upstream gradient dy."""
-    dw = np.zeros_like(w)
+    dw = np.empty_like(w)
     dy2 = dy.reshape(-1, dy.shape[-1])
     for tap, patch in _taps(x, w.shape[0]):
-        dw[tap] = patch.reshape(-1, patch.shape[-1]).T @ dy2
+        dw[tap] = patch.T @ dy2
     return dw, dy2.sum(axis=0)
 
 
@@ -150,22 +162,27 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-3) -> dict:
-    """One Adam update; returns new params, mutates the state in place."""
+    """One Adam update; returns new params and updates the state's moments in place."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
-    t = state.step
+    c1, c2 = 1 - beta1 ** state.step, 1 - beta2 ** state.step
     out = {}
     for name, p in params.items():
         g = grads[name]
-        m = state.m.get(name, np.zeros_like(p))
-        v = state.v.get(name, np.zeros_like(p))
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        out[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v, tmp = state.m[name], state.v[name], np.empty_like(p)
+        m *= beta1
+        m += np.multiply(1 - beta1, g, out=tmp)
+        v *= beta2
+        v += np.multiply(np.multiply(1 - beta2, g, out=tmp), g, out=tmp)
+        # p - lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+        np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
+        tmp += eps
+        step = np.divide(m, c1)
+        step *= lr
+        step /= tmp
+        out[name] = np.subtract(p, step, out=step)
     return out
 
 

@@ -9,8 +9,9 @@ import pytest
 
 from scenediff import nn
 
-# (grid dims, kernel size): non-cubic grids, some smaller than the kernel
-CONV_CASES = [((3, 4, 2), 1), ((4, 3, 5), 3), ((2, 5, 3), 3), ((5, 3, 4), 5)]
+# (grid dims, kernel size): non-cubic grids, some smaller than the kernel, and
+# the 16x16x4 grid the voxel models train on
+CONV_CASES = [((3, 4, 2), 1), ((4, 3, 5), 3), ((2, 5, 3), 3), ((5, 3, 4), 5), ((16, 16, 4), 3)]
 CIN, COUT = 2, 3
 
 
@@ -58,6 +59,25 @@ def test_conv3d_same_backward_is_the_adjoint(dims, k):
         assert np.vdot(w, dw) == pytest.approx(out, rel=1e-12)
         assert np.vdot(b, db) == pytest.approx(
             np.vdot(nn.conv3d_same(x, zero_w, b), dy), rel=1e-12)
+
+
+def test_conv3d_same_primitives_accept_strided_views():
+    """A sliced input, a flipped and axis-swapped kernel and a transposed upstream
+    gradient give the results of their contiguous copies (the adjoint passes
+    such a kernel view)."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 5, 8, CIN))[1:5, ::-1, ::2]
+    w = rng.normal(size=(3, 3, 3, COUT, CIN))[::-1, :, ::-1].swapaxes(3, 4)
+    dy = rng.normal(size=(COUT, 4, 4, 5)).transpose(2, 3, 1, 0)
+    b = rng.normal(size=COUT)
+    xc, wc, dyc = map(np.ascontiguousarray, (x, w, dy))
+    assert not any(a.flags.c_contiguous for a in (x, w, dy))
+    close = dict(rtol=1e-12, atol=0)
+    np.testing.assert_allclose(nn.conv3d_same(x, w, b), nn.conv3d_same(xc, wc, b), **close)
+    for got, want in zip(nn.conv3d_same_backward(x, w, dy), nn.conv3d_same_backward(xc, wc, dyc)):
+        np.testing.assert_allclose(got, want, **close)
+    np.testing.assert_allclose(nn.conv3d_same_adjoint(dy, w), nn.conv3d_same_adjoint(dyc, wc),
+                               **close)
 
 
 def test_conv3d_same_rejects_bad_kernels():
@@ -121,3 +141,36 @@ def test_patch_deconv_and_backward_match_blocks():
         ref_db += dy[sl].reshape(-1)
     np.testing.assert_allclose(dw, ref_dw, rtol=1e-12)
     np.testing.assert_allclose(db, ref_db, rtol=1e-12)
+
+
+def adam_oracle(params, grads, m, v, t, lr):
+    """Adam as a closed formula: (new params, new m, new v) for step t."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = beta1 * m.get(name, np.zeros_like(p)) + (1 - beta1) * g
+        v[name] = beta2 * v.get(name, np.zeros_like(p)) + (1 - beta2) * g * g
+        mhat = m[name] / (1 - beta1 ** t)
+        vhat = v[name] / (1 - beta2 ** t)
+        out[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
+    return out, m, v
+
+
+def test_adam_step_is_the_formula_bit_for_bit_and_leaves_params_alone():
+    rng = np.random.default_rng(4)
+    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    state, ref, m, v = nn.AdamState(), params, {}, {}
+    for t in range(1, 4):
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        before = {name: p.copy() for name, p in params.items()}
+        new = nn.adam_step(params, grads, state, lr=1e-2)
+        ref, m, v = adam_oracle(ref, grads, m, v, t, lr=1e-2)
+        assert state.step == t
+        for name in params:
+            assert np.array_equal(params[name], before[name])
+            assert new[name] is not params[name]
+            assert np.array_equal(new[name], ref[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
+        params = new
