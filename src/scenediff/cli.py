@@ -58,11 +58,11 @@ def cmd_gen_data(args):
     params = ToySceneParams(dims=dims, num_classes=args.classes)
     table = toy_class_table(args.classes)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     files = []
     for i in range(args.scenes):
         g = generate_toy_scene(params, args.seed + i)
         name = f"scene_{i:04d}.vxsc"
+        out.mkdir(parents=True, exist_ok=True)  # once the first scene exists
         save_scene(g, table, out / name)
         files.append(name)
     manifest = {
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     except (ConfigError, SceneFormatError, CheckpointError, TrainingDiverged,
             ValueError, OSError) as exc:
         print(f"error: {exc}")
+        return 1
+    except MemoryError as exc:  # numpy's message names the size it asked for
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
         return 1
     return 0
 

@@ -5,6 +5,11 @@ additive encoder->decoder skip, plus a final projection to K logits. The
 timestep enters as a per-channel bias at every stage, produced by a two-layer
 perceptron on top of a sinusoidal embedding. Everything is plain numpy with
 hand-written gradients so they can be checked against finite differences.
+
+The input is one-hot x_t (plus the condition's occupancy channel), passed as
+the integer indices of each voxel's hot channels (`build_input`), so the first
+layer runs `nn.conv3d_onehot`. A float input of dense activations runs
+`nn.conv3d_same` instead, with the same result for a one-hot float input.
 """
 
 from __future__ import annotations
@@ -71,13 +76,20 @@ def _time_bias(params, config: DenoiserConfig, t: int):
     return e, pre, h, (bias[:h1], bias[h1 : h1 + h2], bias[h1 + h2 :])
 
 
+def _labelled(x_in: np.ndarray) -> bool:
+    """True for hot channel indices (`build_input`), False for dense activations."""
+    return np.issubdtype(x_in.dtype, np.integer)
+
+
 def forward(params: dict, config: DenoiserConfig, x_in: np.ndarray, t: int,
             with_cache: bool = False):
-    """Logits (X, Y, Z, K) for input activations (X, Y, Z, in_channels)."""
-    if x_in.ndim != 4 or x_in.shape[-1] != config.in_channels:
+    """Logits (X, Y, Z, K) for an input of hot channel indices (X, Y, Z, m), as
+    `build_input` makes, or of dense activations (X, Y, Z, in_channels)."""
+    if x_in.ndim != 4 or not (_labelled(x_in) or x_in.shape[-1] == config.in_channels):
         raise ValueError(f"expected (X,Y,Z,{config.in_channels}) input, got {x_in.shape}")
     e, tpre, th, (b1, b2, b3) = _time_bias(params, config, t)
-    pre1 = nn.conv3d_same(x_in, params["enc1_w"], params["enc1_b"]) + b1
+    first = nn.conv3d_onehot if _labelled(x_in) else nn.conv3d_same
+    pre1 = first(x_in, params["enc1_w"], params["enc1_b"]) + b1
     a1 = nn.relu(pre1)
     pre2 = nn.conv3d_same(a1, params["enc2_w"], params["enc2_b"]) + b2
     a2 = nn.relu(pre2)
@@ -106,8 +118,8 @@ def backward(params: dict, config: DenoiserConfig, cache: dict,
         cache["a1"], params["enc2_w"], dpre2)
     # a1 gets da3 through the skip branch; the input x_in needs no gradient
     dpre1 = nn.relu_backward(cache["pre1"], nn.conv3d_same_adjoint(dpre2, params["enc2_w"]) + da3)
-    grads["enc1_w"], grads["enc1_b"] = nn.conv3d_same_backward(
-        cache["x_in"], params["enc1_w"], dpre1)
+    first = nn.conv3d_onehot_backward if _labelled(cache["x_in"]) else nn.conv3d_same_backward
+    grads["enc1_w"], grads["enc1_b"] = first(cache["x_in"], params["enc1_w"], dpre1)
 
     # time-embedding MLP: each stage bias broadcasts over voxels, as the conv bias does
     dbias = np.concatenate([grads["enc1_b"], grads["enc2_b"], grads["dec1_b"]])
@@ -119,19 +131,28 @@ def backward(params: dict, config: DenoiserConfig, cache: dict,
     return grads
 
 
+def occupancy_channel(condition: VoxelGrid, config: DenoiserConfig) -> np.ndarray:
+    """The condition's hot input channel at each voxel, (X, Y, Z): the occupancy
+    channel K where it is occupied, K + 1 (no channel) where it is not."""
+    return np.where(condition.occupancy(), config.num_classes, config.num_classes + 1)
+
+
 def build_input(x_t: VoxelGrid, config: DenoiserConfig,
                 condition: VoxelGrid | None) -> np.ndarray:
-    """One-hot x_t, with the binary condition appended as an extra channel."""
-    x = one_hot(x_t, config.num_classes).probs
+    """The hot input channels of each voxel, (X, Y, Z, m): x_t's label, then,
+    when conditioned, its `occupancy_channel`. See `nn.conv3d_onehot`."""
+    k, labels = config.num_classes, x_t.labels.astype(np.intp, copy=False)
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"label out of range [0, {k})")
     if config.conditioned:
         if condition is None:
             raise ValueError("model expects a condition channel")
         if condition.dims != x_t.dims:
             raise ValueError("condition dims must match x_t dims")
-        x = np.concatenate([x, condition.occupancy()[..., None].astype(np.float64)], axis=-1)
-    elif condition is not None:
+        return np.stack([labels, occupancy_channel(condition, config)], axis=-1)
+    if condition is not None:
         raise ValueError("model has no condition channel")
-    return x
+    return labels[..., None]
 
 
 def as_denoiser_fn(params: dict, config: DenoiserConfig):

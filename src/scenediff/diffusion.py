@@ -21,13 +21,6 @@ def q_marginal(x0: CategoricalField, t: int, trans: UniformTransition) -> Catego
     return CategoricalField(a * x0.probs + (1.0 - a) / k)
 
 
-def q_onestep(x_prev: CategoricalField, t: int, trans: UniformTransition) -> CategoricalField:
-    """Single-step row action of Q_t: (1 - beta_t) * p + beta_t / K."""
-    b = trans.schedule.beta_at(t)
-    k = trans.num_classes
-    return CategoricalField((1.0 - b) * x_prev.probs + b / k)
-
-
 def sample_field(field: CategoricalField, rng: np.random.Generator) -> VoxelGrid:
     """Independent per-voxel categorical draws."""
     p = field.flat()
@@ -166,13 +159,6 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
     dot = (g_p * p).sum(axis=-1, keepdims=True)
     g_logits = p * (g_p - dot)
     return total, vb, aux, CategoricalField(g_logits.reshape(model_logits.probs.shape))
-
-
-def diffusion_loss(x0: VoxelGrid, t: int, model_logits: CategoricalField,
-                   x_t: VoxelGrid, w0: float, trans: UniformTransition):
-    """(total, vb_term, aux_term); see diffusion_loss_and_grad."""
-    total, vb, aux, _ = diffusion_loss_and_grad(x0, t, model_logits, x_t, w0, trans)
-    return total, vb, aux
 
 
 def reverse_step(x_t: VoxelGrid, t: int, denoiser, trans: UniformTransition,

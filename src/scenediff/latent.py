@@ -1,18 +1,13 @@
-"""Diffusion over codebook indices, the two-stage sampling pipeline, and the
-wall-clock comparison harness."""
+"""Diffusion over codebook indices and the two-stage sampling pipeline."""
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import denoiser as dn
-from . import nn
 from .diffusion import sample_loop
 from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
-from .schedule import UniformTransition, make_schedule
+from .schedule import UniformTransition
 from .vqvae import VQVAETrainResult, decode, encode, quantize
 
 
@@ -55,77 +50,3 @@ def sample_latent(latent_params: dict, latent_config: dn.DenoiserConfig,
     zq = vq.params["codes"][idx.labels]
     logits = decode(vq.params, vq.config, zq)
     return argmax_decode(CategoricalField(logits))
-
-
-@dataclass
-class TimingRow:
-    label: str
-    resolution: tuple[int, int, int]
-    train_seconds: float
-    sample_seconds: float
-
-
-@dataclass
-class TimingReport:
-    rows: list = field(default_factory=list)
-
-    def as_text(self) -> str:
-        lines = [f"{'model':<14}{'resolution':<14}{'train_s/epoch':>14}{'sample_s':>12}"]
-        for r in self.rows:
-            res = "x".join(str(d) for d in r.resolution)
-            lines.append(f"{r.label:<14}{res:<14}{r.train_seconds:>14.4f}{r.sample_seconds:>12.4f}")
-        return "\n".join(lines)
-
-
-def _median_time(fn, trials: int) -> float:
-    fn()  # warm-up
-    times = []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def timing_report(voxel_dims: tuple[int, int, int], num_classes: int,
-                  latent_dims_list: list[tuple[int, int, int]], num_codes: int,
-                  num_steps: int = 20, trials: int = 5,
-                  hidden: tuple[int, int] = (8, 16), train_examples: int = 4) -> TimingReport:
-    """Median wall-clock of training (one small epoch) and per-scene sampling
-    for voxel-space diffusion vs latent-space diffusion at each resolution.
-
-    Uses freshly initialized denoisers of identical widths, a cosine schedule and
-    seed 0; timings measure the diffusion machinery, not model quality.
-    """
-    trans_vox = UniformTransition(num_classes, make_schedule("cosine", num_steps))
-    trans_lat = UniformTransition(num_codes, make_schedule("cosine", num_steps))
-    report = TimingReport()
-
-    def make_setup(k, dims, trans):
-        config = dn.DenoiserConfig(num_classes=k, in_channels=k, hidden=hidden,
-                                   num_steps=num_steps)
-        params = dn.init_params(config, 0)
-        rng = np.random.default_rng(0)
-        scenes = [VoxelGrid(rng.integers(0, k, size=dims)) for _ in range(train_examples)]
-
-        def train_epoch():
-            opt = nn.AdamState()
-            r = np.random.default_rng(0)
-            dn.train_step(params, opt, [(s, None) for s in scenes], config, trans, 1e-3, r)
-
-        def sample_one():
-            r = np.random.default_rng(0)
-            sample_loop(dn.as_denoiser_fn(params, config), dims, trans, r)
-
-        return train_epoch, sample_one
-
-    train_fn, sample_fn = make_setup(num_classes, voxel_dims, trans_vox)
-    report.rows.append(TimingRow("voxel", voxel_dims,
-                                 _median_time(train_fn, trials),
-                                 _median_time(sample_fn, trials)))
-    for dims in latent_dims_list:
-        train_fn, sample_fn = make_setup(num_codes, dims, trans_lat)
-        report.rows.append(TimingRow("latent", dims,
-                                     _median_time(train_fn, trials),
-                                     _median_time(sample_fn, trials)))
-    return report

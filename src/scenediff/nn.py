@@ -8,6 +8,13 @@ conv3d_same and its dw walk the k^3 taps (`_taps`): each tap's window of the
 zero-padded input is copied into one contiguous (V, C) buffer, reused across
 taps, so every tap is a single 2-D GEMM over all V voxels.
 
+A one-hot input (the denoiser's first layer) comes as integer indices of its
+hot channels. `conv3d_onehot` chooses its path from the shapes alone: with
+more input than output channels (the N=1100 index grids) a tap only selects
+weight rows, so it gathers them, and its dw scatter-adds dy by selected row;
+otherwise (the K=5 voxel grids) it expands the input and runs conv3d_same,
+which is faster there. Both give conv3d_same's bits.
+
 Layouts are channels-last: activations (X, Y, Z, C); same-conv weights
 (k, k, k, Cin, Cout); patch weights (prod(stride) * Cin, Cout).
 
@@ -22,6 +29,7 @@ model trains with live here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,15 +56,27 @@ def _taps(x: np.ndarray, k: int):
         yield (i, j, l), patch
 
 
-def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stride-1 3D convolution with zero same-padding."""
+def _check_kernel(w: np.ndarray):
     k = w.shape[0]
     if k % 2 == 0 or w.shape[1] != k or w.shape[2] != k:
         raise ValueError("kernel must be cubic with odd size")
+
+
+def _bias_first(b: np.ndarray, voxels: int, dtype, blocks: int = 1) -> np.ndarray:
+    """A (blocks, V, Cout) array of `dtype` whose first block holds the bias in
+    every row; the caller fills the other blocks."""
+    y = np.empty((blocks, voxels) + b.shape, dtype=dtype)
+    y[0] = b
+    return y
+
+
+def conv3d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stride-1 3D convolution with zero same-padding."""
+    _check_kernel(w)
     if x.shape[-1] != w.shape[3]:
         raise ValueError(f"channel mismatch: {x.shape[-1]} vs {w.shape[3]}")
-    y = np.tile(b, (math.prod(x.shape[:3]), 1)).astype(np.float64)
-    for tap, patch in _taps(x, k):
+    y = _bias_first(b, math.prod(x.shape[:3]), np.result_type(x, w))[0]
+    for tap, patch in _taps(x, w.shape[0]):
         y += patch @ w[tap]
     return y.reshape(x.shape[:3] + (-1,))
 
@@ -73,6 +93,73 @@ def conv3d_same_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
 def conv3d_same_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Input gradient of conv3d_same: conv3d_same of dy with the flipped, transposed kernel."""
     return conv3d_same(dy, w[::-1, ::-1, ::-1].swapaxes(3, 4), np.zeros(w.shape[3]))
+
+
+def _expand_onehot(idx: np.ndarray, channels: int, dtype) -> np.ndarray:
+    """The dense (X, Y, Z, channels) input whose hot channels `idx` names."""
+    x = np.zeros(idx.shape[:3] + (channels + 1,), dtype=dtype)
+    np.put_along_axis(x, idx, 1.0, axis=-1)
+    return x[..., :channels]
+
+
+@functools.lru_cache(maxsize=8)
+def _neighbors(dims: tuple[int, int, int], k: int):
+    """(k^3, V) flat index of the input voxel that each output voxel reads at
+    each tap of a k-cube, and the mask of the reads that fall outside the grid."""
+    shifts = np.array(list(itertools.product(range(k), repeat=3))).T[:, :, None] - k // 2
+    src = np.indices(dims).reshape(3, 1, -1) + shifts
+    outside = ((src < 0) | (src >= np.array(dims)[:, None, None])).any(axis=0)
+    flat = np.ravel_multi_index(tuple(src), dims, mode="clip")
+    flat.flags.writeable = outside.flags.writeable = False
+    return flat, outside
+
+
+def _weight_rows(idx: np.ndarray, k: int, cin: int):
+    """The row of w.reshape(-1, Cout) that each hot channel of each output
+    voxel's input selects at each tap, (k^3, V, m), and the mask of entries
+    that select none (a read outside the grid, or an entry naming no channel)."""
+    nbr, outside = _neighbors(idx.shape[:3], k)
+    labels = idx.reshape(-1, idx.shape[-1])[nbr]
+    return labels + (cin * np.arange(k ** 3))[:, None, None], outside[..., None] | (labels == cin)
+
+
+def conv3d_onehot(idx: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conv3d_same of the one-hot input whose hot channels `idx` names.
+
+    `idx` is an integer (X, Y, Z, m) array: the m channels that are 1 at each
+    voxel, all others 0; an entry equal to Cin names no channel. With Cin >
+    Cout each tap's term is the sum of the weight rows w[tap][idx] it gathers;
+    otherwise the input is expanded and run through conv3d_same. For m <= 2
+    both give conv3d_same's result on the expanded input bit for bit: the
+    bias and the k^3 tap terms are summed in the same order.
+    """
+    _check_kernel(w)
+    k, cin, cout = w.shape[0], w.shape[3], w.shape[4]
+    if cin <= cout:
+        return conv3d_same(_expand_onehot(idx, cin, w.dtype), w, b)
+    rows, none = _weight_rows(idx, k, cin)
+    rows[none] = 0
+    picked = w.reshape(-1, cout)[rows]
+    picked[none] = 0
+    terms = _bias_first(b, rows.shape[1], w.dtype, k ** 3 + 1)
+    terms[1:] = picked[..., 0, :] if idx.shape[-1] == 1 else picked.sum(axis=-2)
+    # a reduction over the leading axis adds the blocks in order, as
+    # conv3d_same's tap loop does: ((b + t0) + t1) + ...
+    return np.add.reduce(terms, axis=0).reshape(idx.shape[:3] + (cout,))
+
+
+def conv3d_onehot_backward(idx: np.ndarray, w: np.ndarray, dy: np.ndarray):
+    """Parameter gradients (dw, db) of conv3d_onehot; with Cin > Cout, dw is a
+    scatter-add of dy by selected weight row."""
+    k, cin, cout = w.shape[0], w.shape[3], w.shape[4]
+    if cin <= cout:
+        return conv3d_same_backward(_expand_onehot(idx, cin, w.dtype), w, dy)
+    rows, none = _weight_rows(idx, k, cin)
+    rows[none] = k ** 3 * cin  # a spare row, dropped below
+    dw = np.zeros((k ** 3 * cin + 1, cout), dtype=np.result_type(w, dy))
+    dy2 = dy.reshape(-1, cout)
+    np.add.at(dw, rows, dy2[None, :, None, :])
+    return dw[:-1].reshape(w.shape), dy2.sum(axis=0)
 
 
 def patchify(x: np.ndarray, stride: tuple[int, int, int]) -> np.ndarray:

@@ -54,9 +54,8 @@ def complete(params: dict, config: dn.DenoiserConfig, trans: UniformTransition,
 
 
 def _baseline_input(condition: VoxelGrid, config: dn.DenoiserConfig) -> np.ndarray:
-    x = np.zeros(condition.dims + (config.num_classes,), dtype=np.float64)
-    cond = condition.occupancy()[..., None].astype(np.float64)
-    return np.concatenate([x, cond], axis=-1)
+    """The baseline's input, occupancy only, as hot channel indices (X, Y, Z, 1)."""
+    return dn.occupancy_channel(condition, config)[..., None]
 
 
 def train_baseline(tasks, config: dn.DenoiserConfig, seed: int, epochs: int = 10,

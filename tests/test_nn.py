@@ -87,6 +87,55 @@ def test_conv3d_same_rejects_bad_kernels():
             nn.conv3d_same(x, np.zeros(shape), np.zeros(COUT))
 
 
+def one_hot_input(idx, channels):
+    """The dense input whose hot channels `idx` names; an entry equal to
+    `channels` names none."""
+    return np.eye(channels + 1)[idx].sum(axis=-2)[..., :channels]
+
+
+def hot_channels(dims, cin, encoding, rng):
+    """(X, Y, Z, m) hot channel indices: a label; a label plus the last channel
+    where occupied; or the last channel where occupied only."""
+    occupied = np.where(rng.random(dims + (1,)) < 0.5, cin - 1, cin)
+    if encoding == "label":
+        return rng.integers(0, cin, size=dims + (1,))
+    if encoding == "label+occupancy":
+        return np.concatenate([rng.integers(0, cin - 1, size=dims + (1,)), occupied], axis=-1)
+    return occupied
+
+
+# (dims, k, Cin, Cout): both branches (gather for Cin > Cout, dense otherwise),
+# sides smaller than the kernel, k = 5, and the latent and voxel model shapes
+ONEHOT_CASES = [((1, 1, 1), 3, 40, 3), ((3, 3, 1), 3, 40, 3), ((2, 5, 3), 5, 40, 3),
+                ((2, 5, 3), 3, 3, 16), ((3, 3, 1), 5, 5, 16), ((4, 4, 2), 3, 1100, 16),
+                ((16, 16, 4), 3, 5, 16), ((16, 16, 4), 3, 40, 16)]
+
+
+@pytest.mark.parametrize("encoding", ["label", "label+occupancy", "occupancy"])
+@pytest.mark.parametrize("dims,k,cin,cout", ONEHOT_CASES)
+def test_conv3d_onehot_is_conv3d_same_on_the_one_hot_input_bit_for_bit(dims, k, cin, cout,
+                                                                       encoding):
+    rng = np.random.default_rng(cin)
+    idx = hot_channels(dims, cin, encoding, rng)
+    w, b = rng.normal(size=(k, k, k, cin, cout)), rng.normal(size=cout)
+    dy = rng.normal(size=dims + (cout,))
+    x = one_hot_input(idx, cin)
+    assert np.array_equal(nn.conv3d_onehot(idx, w, b), nn.conv3d_same(x, w, b))
+    for got, want in zip(nn.conv3d_onehot_backward(idx, w, dy),
+                         nn.conv3d_same_backward(x, w, dy)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_conv3d_bias_fill_keeps_the_input_dtype():
+    x = np.ones((2, 2, 1, CIN), dtype=np.float32)
+    w = np.ones((1, 1, 1, CIN, COUT), dtype=np.float32)
+    assert nn.conv3d_same(x, w, np.arange(COUT, dtype=np.float64)).dtype == np.float32
+    idx = np.zeros((2, 2, 1, 1), dtype=np.intp)
+    for cin in (2, 8):  # the dense and the gather branch
+        w = np.ones((1, 1, 1, cin, COUT), dtype=np.float32)
+        assert nn.conv3d_onehot(idx, w, np.zeros(COUT)).dtype == np.float32
+
+
 STRIDE = (2, 3, 1)
 BLOCKS = (2, 1, 3)  # block grid; the voxel grid is (4, 3, 3)
 
