@@ -34,7 +34,7 @@ class DenoiserConfig:
     kernel: int = 3
     time_dim: int = 32
     time_hidden: int = 64
-    num_steps: int = 100  # T, for the embedding range
+    num_steps: int = 100  # T of the transitions the model is trained with
 
     def __post_init__(self):
         typed(self)
@@ -141,9 +141,7 @@ def build_input(x_t: VoxelGrid, config: DenoiserConfig,
                 condition: VoxelGrid | None) -> np.ndarray:
     """The hot input channels of each voxel, (X, Y, Z, m): x_t's label, then,
     when conditioned, its `occupancy_channel`. See `nn.conv3d_onehot`."""
-    k, labels = config.num_classes, x_t.labels.astype(np.intp, copy=False)
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"label out of range [0, {k})")
+    labels = x_t.checked_labels(config.num_classes)
     if config.conditioned:
         if condition is None:
             raise ValueError("model expects a condition channel")
@@ -155,10 +153,10 @@ def build_input(x_t: VoxelGrid, config: DenoiserConfig,
     return labels[..., None]
 
 
-def as_denoiser_fn(params: dict, config: DenoiserConfig):
-    """Adapter matching the sampler's (x_t, t, condition) -> logits interface."""
+def as_denoiser_fn(params: dict, config: DenoiserConfig, condition: VoxelGrid | None = None):
+    """The sampler's (x_t, t) -> logits interface, with the condition bound."""
 
-    def fn(x_t: VoxelGrid, t: int, condition: VoxelGrid | None) -> CategoricalField:
+    def fn(x_t: VoxelGrid, t: int) -> CategoricalField:
         return CategoricalField(forward(params, config, build_input(x_t, config, condition), t))
 
     return fn
@@ -173,11 +171,14 @@ def _diffusion_loss(config: DenoiserConfig, trans: UniformTransition, w0: float,
     """
     if not w0 >= 0:
         raise ValueError(f"need w0 >= 0; got {w0}")
-    k = config.num_classes
+    k, num_steps = config.num_classes, trans.schedule.num_steps
+    if (trans.num_classes, num_steps) != (k, config.num_steps):
+        raise ValueError(f"transitions have K={trans.num_classes}, T={num_steps}; "
+                         f"the model has K={k}, T={config.num_steps}")
 
     def loss_and_grads(params, example):
         x0, condition = example
-        t = int(rng.integers(1, trans.schedule.num_steps + 1))
+        t = int(rng.integers(1, num_steps + 1))
         x_t = sample_field(q_marginal(one_hot(x0, k), t, trans), rng)
         x_in = build_input(x_t, config, condition)
         logits, cache = forward(params, config, x_in, t, with_cache=True)

@@ -1,6 +1,9 @@
 """Exact categorical diffusion: forward marginals, posteriors, losses, sampling.
 
-All probability math runs in float64. Steps are 1-based, t in {1..T}.
+All probability math runs in float64. Steps are 1-based, t in {1..T}, and one
+posterior formula serves every step: alpha_bar_0 = 1, so at t = 1 the posterior
+q(x_0 | x_1, x0~) is x0~ itself and its KL against the true one is the decoder
+NLL. A denoiser is any callable (x_t, t) -> logits.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ def posterior(x_t: VoxelGrid, x0_dist: CategoricalField, t: int,
     Qbar_t and the product with Qbar_{t-1} are formed in closed form with
     O(V*K) work and memory. The dense K x K matrices of `UniformTransition`
     are the reference oracle the tests check this against.
+
+    Any t in 1..T: at t = 1, Qbar_0 = I and Qt[c] = Qbar_1[c], so post = x0~.
     """
-    if t < 2:
-        raise ValueError("posterior requires t >= 2; the t=1 step is the decoder term")
     trans.schedule._check_t(t)
     pieces = _posterior_pieces(x_t.labels.reshape(-1), t, trans)
     post = _posterior_from(x0_dist.flat(), *pieces)
@@ -119,8 +122,9 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
     """Hybrid loss (variational-bound term + w0 * auxiliary cross-entropy),
     averaged over voxels, and its gradient with respect to the logits.
 
-    vb: for t >= 2, KL between the true posterior (one-hot x0) and the posterior
-    built from the predicted x0~ distribution; for t = 1, the decoder NLL.
+    vb: KL between the true posterior (one-hot x0) and the posterior built from
+    the predicted x0~ distribution; at t = 1 both posteriors are their x0
+    distributions, so vb is the decoder NLL -log p(x0).
     aux: cross-entropy of the predicted x0~ distribution against x0.
     """
     trans.schedule._check_t(t)
@@ -137,22 +141,18 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
     g_aux = np.zeros_like(p)
     g_aux[np.arange(nvox)[mask], x0_flat[mask]] = -1.0 / (nvox * p_at_x0[mask])
 
-    if t == 1:
-        vb = aux
-        g_p = (1.0 + w0) * g_aux
-    else:
-        xt_flat = x_t.labels.reshape(-1)
-        a, denom, abar_prev = _posterior_pieces(xt_flat, t, trans)
-        post_pred = _posterior_from(p, a, denom, abar_prev)
-        q_true = _posterior_from(one_hot(x0, k).flat(), a, denom, abar_prev)
-        vb = float(np.mean(kl_categorical(q_true, post_pred)))
-        # d vb / d p, through post = M p with M[j, m] = a_j qbar_prev[m, j] / denom_m
-        # (the final renormalization has zero gradient since sum_j post_j == 1)
-        post_floor = np.maximum(post_pred, PROB_FLOOR)
-        r = np.where(post_pred > PROB_FLOOR, q_true / post_floor, 0.0)
-        g_post = -r / nvox
-        g_p = _uniform_mix(g_post * a, abar_prev) / denom
-        g_p += w0 * g_aux
+    xt_flat = x_t.labels.reshape(-1)
+    a, denom, abar_prev = _posterior_pieces(xt_flat, t, trans)
+    post_pred = _posterior_from(p, a, denom, abar_prev)
+    q_true = _posterior_from(one_hot(x0, k).flat(), a, denom, abar_prev)
+    vb = float(np.mean(kl_categorical(q_true, post_pred)))
+    # d vb / d p, through post = M p with M[j, m] = a_j qbar_prev[m, j] / denom_m
+    # (the final renormalization has zero gradient since sum_j post_j == 1)
+    post_floor = np.maximum(post_pred, PROB_FLOOR)
+    r = np.where(post_pred > PROB_FLOOR, q_true / post_floor, 0.0)
+    g_post = -r / nvox
+    g_p = _uniform_mix(g_post * a, abar_prev) / denom
+    g_p += w0 * g_aux
 
     total = vb + w0 * aux
     # gradient through the softmax
@@ -162,22 +162,19 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
 
 
 def reverse_step(x_t: VoxelGrid, t: int, denoiser, trans: UniformTransition,
-                 rng: np.random.Generator, condition: VoxelGrid | None = None) -> VoxelGrid:
+                 rng: np.random.Generator) -> VoxelGrid:
     """One ancestral reverse step: predict x0~, then draw x_{t-1} from the
     posterior marginalized over it."""
     trans.schedule._check_t(t)
-    logits = denoiser(x_t, t, condition)
-    p0 = CategoricalField(softmax(logits.probs))
-    if t == 1:
-        return sample_field(p0, rng)
+    p0 = CategoricalField(softmax(denoiser(x_t, t).probs))
     return sample_field(posterior(x_t, p0, t, trans), rng)
 
 
 def sample_loop(denoiser, dims: tuple[int, int, int], trans: UniformTransition,
-                rng: np.random.Generator, condition: VoxelGrid | None = None) -> VoxelGrid:
+                rng: np.random.Generator) -> VoxelGrid:
     """Full ancestral sampler: uniform x_T, then reverse steps down to x_0."""
     k = trans.num_classes
     x = VoxelGrid(rng.integers(0, k, size=dims))
     for t in range(trans.schedule.num_steps, 0, -1):
-        x = reverse_step(x, t, denoiser, trans, rng, condition)
+        x = reverse_step(x, t, denoiser, trans, rng)
     return x

@@ -44,6 +44,13 @@ class VoxelGrid:
     def num_voxels(self) -> int:
         return int(self.labels.size)
 
+    def checked_labels(self, num_classes: int) -> np.ndarray:
+        """The labels as intp, after checking that each lies in [0, num_classes)."""
+        labels = self.labels.astype(np.intp, copy=False)
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise ValueError(f"label out of range [0, {num_classes})")
+        return labels
+
     def occupancy(self) -> np.ndarray:
         """Binary occupancy mask (label != free)."""
         return self.labels != 0
@@ -87,11 +94,9 @@ class MetricsReport:
 
 def one_hot(grid: VoxelGrid, num_classes: int) -> CategoricalField:
     """One-hot encode a label grid into a categorical field."""
-    labels = grid.labels
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"label out of range [0, {num_classes})")
+    labels = grid.checked_labels(num_classes)
     probs = np.zeros(labels.shape + (num_classes,), dtype=np.float64)
-    np.put_along_axis(probs, labels[..., None].astype(np.int64), 1.0, axis=-1)
+    np.put_along_axis(probs, labels[..., None], 1.0, axis=-1)
     return CategoricalField(probs)
 
 

@@ -10,19 +10,24 @@ import numpy as np
 from .grids import MetricsReport, VoxelGrid
 
 
-def iou_counts(pred: VoxelGrid, gt: VoxelGrid, num_classes: int):
-    """Per-class (intersection, union) counts, all K classes including free."""
+def _confusion(pred: VoxelGrid, gt: VoxelGrid, num_classes: int) -> np.ndarray:
+    """(K, K) voxel counts: entry [g, p] counts ground truth g predicted as p."""
     if pred.dims != gt.dims:
         raise ValueError(f"dim mismatch: {pred.dims} vs {gt.dims}")
-    inter = np.zeros(num_classes, dtype=np.int64)
-    union = np.zeros(num_classes, dtype=np.int64)
-    p = pred.labels.reshape(-1)
-    g = gt.labels.reshape(-1)
-    for k in range(num_classes):
-        pk, gk = p == k, g == k
-        inter[k] = np.count_nonzero(pk & gk)
-        union[k] = np.count_nonzero(pk | gk)
-    return inter, union
+    k = num_classes
+    cells = gt.checked_labels(k) * k + pred.checked_labels(k)
+    return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k)
+
+
+def _iou_from(cm: np.ndarray):
+    """Per-class intersections (the diagonal) and unions (row + column - diagonal)."""
+    inter = cm.diagonal().copy()
+    return inter, cm.sum(axis=0) + cm.sum(axis=1) - inter
+
+
+def iou_counts(pred: VoxelGrid, gt: VoxelGrid, num_classes: int):
+    """Per-class (intersection, union) counts, all K classes including free."""
+    return _iou_from(_confusion(pred, gt, num_classes))
 
 
 def miou_from_per_class(per_class_iou: Sequence[float]) -> float:
@@ -42,17 +47,11 @@ def report_from_pairs(pairs, num_classes: int) -> MetricsReport:
     """Per-class IoU (NaN for a class absent from every pair) and completion
     (occupancy) IoU over (pred, gt) pairs, counts summed across all pairs before
     dividing; an empty occupancy union counts as 1.0. Reads each pair once."""
-    inter = np.zeros(num_classes, dtype=np.int64)
-    union = np.zeros(num_classes, dtype=np.int64)
-    occ_i = occ_u = 0
-    for pred, gt in pairs:
-        i, u = iou_counts(pred, gt, num_classes)
-        inter += i
-        union += u
-        po, go = pred.occupancy(), gt.occupancy()
-        occ_i += np.count_nonzero(po & go)
-        occ_u += np.count_nonzero(po | go)
-    return report_from_counts(inter, union, occ_i / occ_u if occ_u else 1.0)
+    cm = sum((_confusion(pred, gt, num_classes) for pred, gt in pairs),
+             np.zeros((num_classes, num_classes), dtype=np.intp))
+    occ_union = cm.sum() - cm[0, 0]  # free is label 0
+    return report_from_counts(*_iou_from(cm),
+                              cm[1:, 1:].sum() / occ_union if occ_union else 1.0)
 
 
 def inverse_frequency_weights(dataset: Sequence[VoxelGrid], num_classes: int) -> np.ndarray:
@@ -64,7 +63,7 @@ def inverse_frequency_weights(dataset: Sequence[VoxelGrid], num_classes: int) ->
         raise ValueError("empty dataset")
     hist = np.zeros(num_classes, dtype=np.int64)
     for g in dataset:
-        hist += np.bincount(g.labels.reshape(-1), minlength=num_classes)[:num_classes]
+        hist += np.bincount(g.checked_labels(num_classes).ravel(), minlength=num_classes)
     freq = hist / hist.sum()
     w = 1.0 / np.log(1.02 + freq)
     return w / w.mean()

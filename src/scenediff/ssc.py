@@ -49,8 +49,7 @@ def train_conditional(tasks, config: dn.DenoiserConfig, trans: UniformTransition
 def complete(params: dict, config: dn.DenoiserConfig, trans: UniformTransition,
              condition: VoxelGrid, rng: np.random.Generator) -> VoxelGrid:
     """Probabilistic completion: full reverse chain with the condition fixed."""
-    return sample_loop(dn.as_denoiser_fn(params, config), condition.dims, trans, rng,
-                       condition=condition)
+    return sample_loop(dn.as_denoiser_fn(params, config, condition), condition.dims, trans, rng)
 
 
 def _baseline_input(condition: VoxelGrid, config: dn.DenoiserConfig) -> np.ndarray:

@@ -216,6 +216,21 @@ def test_train_step_rejects_empty_batch():
                       np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("k, steps", [(4, 10), (3, 5)], ids=["K", "T"])
+def test_trainers_reject_transitions_that_differ_from_the_config(monkeypatch, k, steps):
+    # SMALL has K = 3, T = 10: a different K or T raises before any forward pass
+    trans = UniformTransition(k, make_schedule("cosine", steps))
+    scene = VoxelGrid(np.zeros((2, 2, 1), dtype=int))
+    forwards = []
+    monkeypatch.setattr(dn, "forward", lambda *args, **kw: forwards.append(args))
+    with pytest.raises(ValueError, match=f"K={k}, T={steps}"):
+        dn.train_step(small_params(), nn.AdamState(), [(scene, None)], SMALL, trans,
+                      1e-3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"K={k}, T={steps}"):
+        dn.train_diffusion([scene], SMALL, trans, seed=0, epochs=1)
+    assert forwards == []
+
+
 def test_train_step_divergence_detection():
     trans, scene = make_trainer()
     params = small_params()
@@ -257,7 +272,8 @@ def test_condition_channel_is_consumed():
     x_t = VoxelGrid(rng.integers(0, 3, size=(4, 4, 2)))
     cond_a = VoxelGrid(np.zeros((4, 4, 2), dtype=int))
     cond_b = VoxelGrid(np.ones((4, 4, 2), dtype=int))
-    fn = dn.as_denoiser_fn(params, config)
-    assert not np.allclose(fn(x_t, 2, cond_a).probs, fn(x_t, 2, cond_b).probs)
+    fn_a = dn.as_denoiser_fn(params, config, cond_a)
+    fn_b = dn.as_denoiser_fn(params, config, cond_b)
+    assert not np.allclose(fn_a(x_t, 2).probs, fn_b(x_t, 2).probs)
     with pytest.raises(ValueError):
-        fn(x_t, 2, None)
+        dn.as_denoiser_fn(params, config)(x_t, 2)

@@ -116,10 +116,21 @@ def test_posterior_uniform_under_total_mixing(trans):
     assert post.probs.ravel()[1] == max(post.probs.ravel())
 
 
-def test_posterior_rejects_t1(trans):
-    x0 = one_hot(VoxelGrid(np.zeros((1, 1, 1), dtype=int)), 4)
-    with pytest.raises(ValueError):
-        posterior(VoxelGrid(np.zeros((1, 1, 1), dtype=int)), x0, 1, trans)
+def test_posterior_at_t1_is_the_prediction():
+    # alpha_bar_0 = 1, so q(x_0 | x_1, x0~) is x0~: the dense oracle with Qbar_0 = I
+    # agrees, and the true posterior of a one-hot x0 is that one-hot exactly
+    rng = np.random.default_rng(14)
+    for k in (2, 3, 6, 1100):
+        trans = UniformTransition(k, make_schedule("cosine", 20))
+        x0 = VoxelGrid(rng.integers(0, k, size=(3, 2, 2)))
+        x_t = VoxelGrid(rng.integers(0, k, size=(3, 2, 2)))
+        p0 = random_field(rng, (3, 2, 2), k)
+        got = posterior(x_t, p0, 1, trans).flat()
+        assert np.max(np.abs(got - p0.flat())) < 1e-15
+        ref = dense_posterior(x_t.labels.reshape(-1), p0.flat(), 1, trans)
+        assert np.max(np.abs(got - ref)) < 1e-15
+        exact = one_hot(x0, k)
+        assert np.array_equal(posterior(x_t, exact, 1, trans).probs, exact.probs)
 
 
 def test_kl_categorical():
@@ -191,14 +202,14 @@ def test_reverse_step_contracts(trans):
     rng = np.random.default_rng(9)
     target = VoxelGrid(rng.integers(0, 4, size=(3, 3, 2)))
 
-    def oracle_denoiser(x_t, t, condition):
+    def oracle_denoiser(x_t, t):
         return CategoricalField(np.log(one_hot(target, 4).probs + 1e-12))
 
     x1 = VoxelGrid(rng.integers(0, 4, size=(3, 3, 2)))
     out = reverse_step(x1, 1, oracle_denoiser, trans, np.random.default_rng(0))
     assert out == target
 
-    def random_denoiser(x_t, t, condition):
+    def random_denoiser(x_t, t):
         r = np.random.default_rng(hash((t, 0)) % 2**32)
         return CategoricalField(r.normal(size=x_t.dims + (4,)))
 
@@ -209,8 +220,19 @@ def test_reverse_step_contracts(trans):
     assert a.labels.max() < 4
 
 
+def test_reverse_step_at_t1_draws_from_the_prediction(trans):
+    # the t = 1 posterior is x0~ itself, so the step's draw is sample_field(x0~)
+    rng = np.random.default_rng(15)
+    x1 = VoxelGrid(rng.integers(0, 4, size=(16, 16, 4)))
+    for seed in range(20):
+        logits = CategoricalField(np.random.default_rng(seed).normal(size=(16, 16, 4, 4)))
+        step = reverse_step(x1, 1, lambda x_t, t: logits, trans, np.random.default_rng(seed))
+        direct = sample_field(CategoricalField(softmax(logits.probs)), np.random.default_rng(seed))
+        assert step == direct
+
+
 def test_sample_loop_contracts(trans):
-    def random_denoiser(x_t, t, condition):
+    def random_denoiser(x_t, t):
         r = np.random.default_rng(t)
         return CategoricalField(r.normal(size=x_t.dims + (4,)))
 
@@ -223,7 +245,7 @@ def test_sample_loop_contracts(trans):
     target = VoxelGrid(np.arange(8).reshape(2, 2, 2) % 3)
     one_step = UniformTransition(3, make_schedule("linear", 1))
 
-    def oracle(x_t, t, condition):
+    def oracle(x_t, t):
         return CategoricalField(np.log(one_hot(target, 3).probs + 1e-12))
 
     assert sample_loop(oracle, (2, 2, 2), one_step, np.random.default_rng(5)) == target
@@ -255,7 +277,7 @@ def dense_posterior(xt_flat, p0, t, trans):
 
 
 def dense_loss_and_grad(x0_flat, xt_flat, logits, w0, t, trans):
-    """Reference (total, vb, d total / d logits) for t >= 2 from the dense
+    """Reference (total, vb, d total / d logits) for any t from the dense
     oracle matrices, chaining vb through post = M p with
     M[j, m] = Qt[x_t, j] Qbar_{t-1}[m, j] / Qbar_t[m, x_t]."""
     k, nvox = trans.num_classes, x0_flat.size
@@ -267,8 +289,9 @@ def dense_loss_and_grad(x0_flat, xt_flat, logits, w0, t, trans):
     post_pred = dense_posterior(xt_flat, p, t, trans)
     q_true = dense_posterior(xt_flat, np.eye(k)[x0_flat], t, trans)
     post_floor = np.maximum(post_pred, 1e-12)
+    log_q = np.log(np.where(q_true > 0, q_true, 1.0))  # q_true is one-hot at t = 1
     vb = float(np.mean(np.where(
-        q_true > 0, q_true * (np.log(q_true) - np.log(post_floor)), 0.0).sum(axis=-1)))
+        q_true > 0, q_true * (log_q - np.log(post_floor)), 0.0).sum(axis=-1)))
     aux = float(np.mean(-np.log(p[rows, x0_flat])))
     g_post = -np.where(post_pred > 1e-12, q_true / post_floor, 0.0) / nvox
     g_p = ((g_post * qt[xt_flat]) @ qbar_prev.T) / qbar_t[xt_flat]
@@ -289,7 +312,7 @@ def test_closed_form_matches_dense_oracle_at_full_scale_codebook():
     x_t = VoxelGrid(xt_labels)
     xt_flat = xt_labels.reshape(-1)
     logits = rng.normal(size=dims + (k,))
-    for t in (2, 10, t_max):
+    for t in (1, 2, 10, t_max):
         for p0 in (random_field(rng, dims, k), one_hot(x0, k)):
             got = posterior(x_t, p0, t, trans).flat()
             assert np.max(np.abs(got - dense_posterior(xt_flat, p0.flat(), t, trans))) < 1e-12

@@ -60,7 +60,7 @@ def test_sample_latent_pins_to_denoiser_output():
     logits = np.log(one_hot(VoxelGrid(fixed), 6).probs + 1e-12)
 
     def params_free_sample(rng):
-        def denoise(x_t, t, condition):
+        def denoise(x_t, t):
             return CategoricalField(logits)
 
         from scenediff.diffusion import sample_loop

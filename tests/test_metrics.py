@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from scenediff.grids import VoxelGrid
-from scenediff.metrics import inverse_frequency_weights, miou_from_per_class, report_from_pairs
+from scenediff.metrics import (inverse_frequency_weights, iou_counts, miou_from_per_class,
+                               report_from_pairs)
 
 # Published per-class IoU rows (free class first) used to pin the averaging rule.
 DIFFUSION_ROW = [96.00, 31.75, 3.42, 25.43, 46.22, 43.32, 84.57, 13.01, 67.50, 37.45, 55.46]
@@ -93,3 +94,47 @@ def test_inverse_frequency_weights_histogram_oracle():
     expected = 1.0 / np.log(1.02 + hist / hist.sum())
     expected /= expected.mean()
     np.testing.assert_allclose(w, expected, atol=1e-12)
+
+
+def per_class_oracle(pairs, num_classes):
+    """Two boolean passes per class and one occupancy pass per pair."""
+    inter = np.zeros(num_classes, dtype=np.int64)
+    union = np.zeros(num_classes, dtype=np.int64)
+    occ_i = occ_u = 0
+    for pred, gt in pairs:
+        p, g = pred.labels.ravel(), gt.labels.ravel()
+        for k in range(num_classes):
+            inter[k] += np.count_nonzero((p == k) & (g == k))
+            union[k] += np.count_nonzero((p == k) | (g == k))
+        occ_i += np.count_nonzero((p != 0) & (g != 0))
+        occ_u += np.count_nonzero((p != 0) | (g != 0))
+    return inter, union, occ_i / occ_u if occ_u else 1.0
+
+
+def test_confusion_counts_match_per_class_passes():
+    rng = np.random.default_rng(11)
+    for k, dims in ((2, (3, 3, 1)), (5, (6, 6, 3)), (11, (16, 16, 4))):
+        pairs = [(VoxelGrid(rng.integers(0, k, size=dims)),
+                  VoxelGrid(rng.integers(0, max(1, k - 2), size=dims))) for _ in range(3)]
+        inter, union, comp = per_class_oracle(pairs, k)
+        got_i, got_u = iou_counts(*pairs[0], k)
+        ref_i, ref_u, _ = per_class_oracle(pairs[:1], k)
+        assert np.array_equal(got_i, ref_i) and np.array_equal(got_u, ref_u)
+        rep = report_from_pairs(iter(pairs), k)
+        ref = np.where(union > 0, inter / np.maximum(union, 1), np.nan)
+        assert np.array_equal(rep.per_class_iou, ref, equal_nan=True)
+        assert rep.miou == miou_from_per_class(ref)
+        assert rep.completion_iou == comp
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_labels_outside_the_classes_are_rejected(bad):
+    ok = VoxelGrid(np.zeros((2, 1, 1), dtype=int))
+    off = VoxelGrid(np.array([0, bad]).reshape(2, 1, 1))
+    for pred, gt in ((off, ok), (ok, off)):
+        with pytest.raises(ValueError, match="out of range"):
+            iou_counts(pred, gt, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            report_from_pairs([(pred, gt)], 4)
+    with pytest.raises(ValueError, match="out of range"):
+        inverse_frequency_weights([ok, off], 4)
