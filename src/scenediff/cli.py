@@ -37,8 +37,8 @@ def _load_dataset(data_dir) -> tuple[list[VoxelGrid], ClassTable]:
     return list(scenes), tables[0]
 
 
-def _transition(cfg, k: int) -> UniformTransition:
-    return UniformTransition(k, make_schedule(cfg.schedule, cfg.num_steps))
+def _transition(schedule: str, k: int, num_steps: int) -> UniformTransition:
+    return UniformTransition(k, make_schedule(schedule, num_steps))
 
 
 def _overrides(args) -> dict:
@@ -104,9 +104,9 @@ def _denoiser_saver(params, config, cfg, **extra):
 @_trainer
 def cmd_train_diffusion(args, cfg, scenes, k):
     config = _denoiser_config(cfg, k, k)
-    params, _ = dn.train_diffusion(scenes, config, _transition(cfg, k), cfg.seed,
-                                   epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                   lr=cfg.lr, w0=cfg.w0, log=print)
+    trans = _transition(cfg.schedule, k, cfg.num_steps)
+    params, _ = dn.train_diffusion(scenes, config, trans, cfg.seed, epochs=cfg.epochs,
+                                   batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0, log=print)
     return _denoiser_saver(params, config, cfg, epochs=cfg.epochs, mode="unconditional")
 
 
@@ -123,11 +123,11 @@ def cmd_train_vqvae(args, cfg, scenes, k):
 @_trainer
 def cmd_train_latent(args, cfg, scenes, k):
     vq_result = vq.load_vqvae(args.vqvae)
+    trans = _transition(cfg.schedule, vq_result.config.num_codes, cfg.num_steps)
     params, config, _ = lat.train_latent_denoiser(
-        scenes, vq_result, _transition(cfg, vq_result.config.num_codes), cfg.seed,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
-        hidden=cfg.hidden, log=print)
-    return _denoiser_saver(params, config, cfg, mode="latent", vqvae=str(args.vqvae))
+        scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        lr=cfg.lr, w0=cfg.w0, hidden=cfg.hidden, log=print)
+    return _denoiser_saver(params, config, cfg, mode="latent")
 
 
 @_trainer
@@ -144,9 +144,10 @@ def cmd_train_baseline(args, cfg, scenes, k):
 def cmd_train_conditional(args, cfg, scenes, k):
     tasks = ssc_mod.build_tasks(scenes, cfg.sparsity_rate, cfg.seed)
     config = _denoiser_config(cfg, k, k + 1)
-    params, _ = ssc_mod.train_conditional(tasks, config, _transition(cfg, k), cfg.seed,
-                                          epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                          lr=cfg.lr, w0=cfg.w0, log=print)
+    trans = _transition(cfg.schedule, k, cfg.num_steps)
+    params, _ = ssc_mod.train_conditional(tasks, config, trans, cfg.seed, epochs=cfg.epochs,
+                                          batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
+                                          log=print)
     return _denoiser_saver(params, config, cfg, mode="conditional",
                            sparsity_rate=cfg.sparsity_rate)
 
@@ -156,8 +157,8 @@ def _load_diffusion(path):
     params, config, meta = dn.load_denoiser(path)
     if meta.get("mode") == "baseline":
         raise CheckpointError(f"{path} is an SSC baseline, not a diffusion model")
-    schedule = make_schedule(meta.get("schedule", "cosine"), config.num_steps)
-    return params, config, UniformTransition(config.num_classes, schedule)
+    trans = _transition(meta.get("schedule", "cosine"), config.num_classes, config.num_steps)
+    return params, config, trans
 
 
 def cmd_sample(args):

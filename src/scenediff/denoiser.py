@@ -23,7 +23,7 @@ from .checkpoint import load_model, save_model
 from .config import typed
 from .diffusion import UniformTransition, diffusion_loss_and_grad, q_marginal, sample_field
 from .errors import CheckpointError
-from .grids import CategoricalField, VoxelGrid, one_hot
+from .grids import VoxelGrid, one_hot
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,17 @@ def build_input(x_t: VoxelGrid, config: DenoiserConfig,
 def as_denoiser_fn(params: dict, config: DenoiserConfig, condition: VoxelGrid | None = None):
     """The sampler's (x_t, t) -> logits interface, with the condition bound."""
 
-    def fn(x_t: VoxelGrid, t: int) -> CategoricalField:
-        return CategoricalField(forward(params, config, build_input(x_t, config, condition), t))
+    def fn(x_t: VoxelGrid, t: int) -> np.ndarray:
+        return forward(params, config, build_input(x_t, config, condition), t)
 
     return fn
+
+
+def check_transitions(config: DenoiserConfig, trans: UniformTransition):
+    """Raise unless the transitions have the model's K and T."""
+    if (trans.num_classes, trans.schedule.num_steps) != (config.num_classes, config.num_steps):
+        raise ValueError(f"transitions have K={trans.num_classes}, T={trans.schedule.num_steps}; "
+                         f"the model has K={config.num_classes}, T={config.num_steps}")
 
 
 def _diffusion_loss(config: DenoiserConfig, trans: UniformTransition, w0: float,
@@ -171,21 +178,17 @@ def _diffusion_loss(config: DenoiserConfig, trans: UniformTransition, w0: float,
     """
     if not w0 >= 0:
         raise ValueError(f"need w0 >= 0; got {w0}")
-    k, num_steps = config.num_classes, trans.schedule.num_steps
-    if (trans.num_classes, num_steps) != (k, config.num_steps):
-        raise ValueError(f"transitions have K={trans.num_classes}, T={num_steps}; "
-                         f"the model has K={k}, T={config.num_steps}")
+    check_transitions(config, trans)
 
     def loss_and_grads(params, example):
         x0, condition = example
-        t = int(rng.integers(1, num_steps + 1))
-        x_t = sample_field(q_marginal(one_hot(x0, k), t, trans), rng)
+        t = int(rng.integers(1, config.num_steps + 1))
+        x_t = sample_field(q_marginal(one_hot(x0, config.num_classes), t, trans), rng)
         x_in = build_input(x_t, config, condition)
         logits, cache = forward(params, config, x_in, t, with_cache=True)
-        loss, vb, aux, dlogits = diffusion_loss_and_grad(
-            x0, t, CategoricalField(logits), x_t, w0, trans)
+        loss, vb, aux, dlogits = diffusion_loss_and_grad(x0, t, logits, x_t, w0, trans)
         record = {"loss": loss, "vb": vb, "aux": aux}
-        return record, backward(params, config, cache, dlogits.probs)
+        return record, backward(params, config, cache, dlogits)
 
     return loss_and_grads
 

@@ -3,7 +3,7 @@
 All probability math runs in float64. Steps are 1-based, t in {1..T}, and one
 posterior formula serves every step: alpha_bar_0 = 1, so at t = 1 the posterior
 q(x_0 | x_1, x0~) is x0~ itself and its KL against the true one is the decoder
-NLL. A denoiser is any callable (x_t, t) -> logits.
+NLL. A denoiser is any callable (x_t, t) -> (X, Y, Z, K) logits array.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def posterior(x_t: VoxelGrid, x0_dist: CategoricalField, t: int,
 
     Any t in 1..T: at t = 1, Qbar_0 = I and Qt[c] = Qbar_1[c], so post = x0~.
     """
-    trans.schedule._check_t(t)
     pieces = _posterior_pieces(x_t.labels.reshape(-1), t, trans)
     post = _posterior_from(x0_dist.flat(), *pieces)
     return CategoricalField(post.reshape(x0_dist.probs.shape))
@@ -117,22 +116,21 @@ def weighted_cross_entropy(logits: np.ndarray, target: np.ndarray, weights: np.n
     return loss, (p * wt.sum(axis=-1, keepdims=True) - wt) / (target.size // target.shape[-1])
 
 
-def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalField,
-                            x_t: VoxelGrid, w0: float, trans: UniformTransition):
+def diffusion_loss_and_grad(x0: VoxelGrid, t: int, logits: np.ndarray, x_t: VoxelGrid,
+                            w0: float, trans: UniformTransition):
     """Hybrid loss (variational-bound term + w0 * auxiliary cross-entropy),
-    averaged over voxels, and its gradient with respect to the logits.
+    averaged over voxels, and its gradient with respect to the (X, Y, Z, K)
+    logits: (total, vb, aux, dlogits).
 
     vb: KL between the true posterior (one-hot x0) and the posterior built from
     the predicted x0~ distribution; at t = 1 both posteriors are their x0
     distributions, so vb is the decoder NLL -log p(x0).
     aux: cross-entropy of the predicted x0~ distribution against x0.
     """
-    trans.schedule._check_t(t)
     k = trans.num_classes
     nvox = x0.num_voxels
     x0_flat = x0.labels.reshape(-1)
-    logits = model_logits.probs.reshape(-1, k)
-    p = softmax(logits)
+    p = softmax(logits.reshape(-1, k))
     p_at_x0 = p[np.arange(nvox), x0_flat]
 
     # auxiliary term and its gradient in p
@@ -158,15 +156,14 @@ def diffusion_loss_and_grad(x0: VoxelGrid, t: int, model_logits: CategoricalFiel
     # gradient through the softmax
     dot = (g_p * p).sum(axis=-1, keepdims=True)
     g_logits = p * (g_p - dot)
-    return total, vb, aux, CategoricalField(g_logits.reshape(model_logits.probs.shape))
+    return total, vb, aux, g_logits.reshape(logits.shape)
 
 
 def reverse_step(x_t: VoxelGrid, t: int, denoiser, trans: UniformTransition,
                  rng: np.random.Generator) -> VoxelGrid:
     """One ancestral reverse step: predict x0~, then draw x_{t-1} from the
     posterior marginalized over it."""
-    trans.schedule._check_t(t)
-    p0 = CategoricalField(softmax(denoiser(x_t, t).probs))
+    p0 = CategoricalField(softmax(denoiser(x_t, t)))
     return sample_field(posterior(x_t, p0, t, trans), rng)
 
 

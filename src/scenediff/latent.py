@@ -27,10 +27,9 @@ def train_latent_denoiser(dataset, vq: VQVAETrainResult, trans: UniformTransitio
                           hidden: tuple[int, int] = (16, 32), log=None):
     """Train an index-space denoiser (N input/output channels) on encoded scenes."""
     n = vq.config.num_codes
-    if trans.num_classes != n:
-        raise ValueError("transition category count must equal the codebook size")
     config = dn.DenoiserConfig(num_classes=n, in_channels=n, hidden=hidden,
                                num_steps=trans.schedule.num_steps)
+    dn.check_transitions(config, trans)
     index_grids = encode_dataset(vq, dataset)
     params, history = dn.fit_diffusion([(g, None) for g in index_grids], config, trans, seed,
                                        epochs, batch_size, lr, w0, log)

@@ -96,9 +96,15 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
 
 
 def export_ply(grid: VoxelGrid, table: ClassTable, path):
-    """ASCII PLY point cloud: one colored vertex per occupied voxel center."""
+    """ASCII PLY point cloud: one colored vertex per occupied voxel center.
+    Each axis's coordinate strings and each class's color are formatted once,
+    gathered per voxel, and joined once."""
     xs, ys, zs = np.nonzero(grid.labels != 0)
-    labels = grid.labels[xs, ys, zs]
+    axes = [np.array([f"{i + 0.5} " for i in range(n)], dtype=object) for n in grid.dims]
+    colors = np.array([f"{r} {g} {b}\n" for r, g, b in np.asarray(table.colors, dtype=np.int64)],
+                      dtype=object)
+    fields = np.stack([axes[0][xs], axes[1][ys], axes[2][zs], colors[grid.labels[xs, ys, zs]]],
+                      axis=1)
     lines = [
         "ply",
         "format ascii 1.0",
@@ -111,11 +117,7 @@ def export_ply(grid: VoxelGrid, table: ClassTable, path):
         "property uchar blue",
         "end_header",
     ]
-    colors = np.asarray(table.colors, dtype=np.int64)
-    for x, y, z, lab in zip(xs, ys, zs, labels):
-        r, g, b = colors[lab]
-        lines.append(f"{x + 0.5} {y + 0.5} {z + 0.5} {r} {g} {b}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n" + "".join(fields.ravel().tolist()))
 
 
 def export_slices(grid: VoxelGrid, table: ClassTable, out_dir):

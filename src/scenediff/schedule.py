@@ -9,19 +9,19 @@ import numpy as np
 
 @dataclass(eq=False)
 class NoiseSchedule:
-    """Per-step mixing rates beta_t and cumulative keep-probabilities
-    alpha_bar_t = prod_{s<=t} (1 - beta_s), indexed t = 1..T."""
+    """Per-step mixing rates beta_t, indexed t = 1..T, and the cumulative
+    keep-probabilities alpha_bar_t = prod_{s<=t} (1 - beta_s) they imply."""
 
     beta: np.ndarray  # (T,)
-    alpha_bar: np.ndarray  # (T,)
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
-        if self.beta.ndim != 1 or self.beta.shape != self.alpha_bar.shape:
-            raise ValueError("beta and alpha_bar must be 1D arrays of equal length")
+        if self.beta.ndim != 1:
+            raise ValueError("beta must be a 1D array")
         if np.any(self.beta <= 0) or np.any(self.beta > 1):
             raise ValueError("beta entries must lie in (0, 1]")
+        self.alpha_bar = np.cumprod(1.0 - self.beta)
+        # catches beta = 1 and an alpha_bar that underflows to zero
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ValueError("alpha_bar must be strictly decreasing")
 
@@ -49,8 +49,8 @@ def make_schedule(kind: str, num_steps: int) -> NoiseSchedule:
     """Build a schedule; `kind` is "cosine" (default choice) or "linear".
 
     Cosine: alpha_bar follows the squared-cosine profile with offset s=0.008;
-    beta_t = 1 - alpha_bar_t / alpha_bar_{t-1}, clipped to (0, 0.999], and
-    alpha_bar recomputed from the clipped betas so the product identity is exact.
+    beta_t = 1 - alpha_bar_t / alpha_bar_{t-1}, clipped to (0, 0.999]. The
+    schedule recomputes alpha_bar from the clipped betas.
     Linear: beta linearly spaced in [1e-4, 0.5].
     """
     if num_steps < 1:
@@ -66,8 +66,7 @@ def make_schedule(kind: str, num_steps: int) -> NoiseSchedule:
         beta = np.linspace(1e-4, 0.5, num_steps)
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    alpha_bar = np.cumprod(1.0 - beta)
-    return NoiseSchedule(beta, alpha_bar)
+    return NoiseSchedule(beta)
 
 
 class UniformTransition:

@@ -22,7 +22,6 @@ BASELINE_TIMESTEP = 0  # fixed embedding input so parameter counts match exactly
 class CompletionTask:
     condition: VoxelGrid  # binary partial occupancy
     target: VoxelGrid
-    rate: float
 
     def __post_init__(self):
         if self.condition.dims != self.target.dims:
@@ -31,8 +30,7 @@ class CompletionTask:
 
 def build_tasks(dataset, rate: float, seed: int) -> list[CompletionTask]:
     """One task per scene: uniformly retained occupied voxels as the condition."""
-    return [CompletionTask(sparsify(g, rate, seed + i), g, rate)
-            for i, g in enumerate(dataset)]
+    return [CompletionTask(sparsify(g, rate, seed + i), g) for i, g in enumerate(dataset)]
 
 
 def train_conditional(tasks, config: dn.DenoiserConfig, trans: UniformTransition,
@@ -49,6 +47,7 @@ def train_conditional(tasks, config: dn.DenoiserConfig, trans: UniformTransition
 def complete(params: dict, config: dn.DenoiserConfig, trans: UniformTransition,
              condition: VoxelGrid, rng: np.random.Generator) -> VoxelGrid:
     """Probabilistic completion: full reverse chain with the condition fixed."""
+    dn.check_transitions(config, trans)
     return sample_loop(dn.as_denoiser_fn(params, config, condition), condition.dims, trans, rng)
 
 

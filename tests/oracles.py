@@ -1,18 +1,21 @@
 """Reference code that only the tests use: the one-step forward kernel, the
-loss without its gradient, and the voxel-vs-latent wall-clock comparison of
-criterion 10."""
+loss without its gradient, the exhaustive posterior, the finite-difference
+gradient checker, the per-voxel PLY writer, and the voxel-vs-latent wall-clock
+comparison of criterion 10."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from scenediff import denoiser as dn
 from scenediff import nn
+from scenediff import vqvae as vq
 from scenediff.diffusion import diffusion_loss_and_grad, sample_loop
-from scenediff.grids import CategoricalField, VoxelGrid
+from scenediff.grids import CategoricalField, ClassTable, VoxelGrid
 from scenediff.schedule import UniformTransition, make_schedule
 
 
@@ -23,11 +26,110 @@ def q_onestep(x_prev: CategoricalField, t: int, trans: UniformTransition) -> Cat
     return CategoricalField((1.0 - b) * x_prev.probs + b / k)
 
 
-def diffusion_loss(x0: VoxelGrid, t: int, model_logits: CategoricalField,
-                   x_t: VoxelGrid, w0: float, trans: UniformTransition):
+def diffusion_loss(x0: VoxelGrid, t: int, logits: np.ndarray, x_t: VoxelGrid, w0: float,
+                   trans: UniformTransition):
     """(total, vb_term, aux_term); see diffusion_loss_and_grad."""
-    total, vb, aux, _ = diffusion_loss_and_grad(x0, t, model_logits, x_t, w0, trans)
+    total, vb, aux, _ = diffusion_loss_and_grad(x0, t, logits, x_t, w0, trans)
     return total, vb, aux
+
+
+def posterior_enumeration(xt_label: int, p0: np.ndarray, t: int, trans: UniformTransition):
+    """Exhaustive K^2 reverse-step posterior of one voxel from the dense matrices:
+    q(x_{t-1}, x_t | x0) / q(x_t | x0) for each candidate x0 = m, mixed over p0."""
+    k = trans.num_classes
+    qt = trans.single_step_matrix(t)
+    qbar_prev = trans.cumulative_matrix(t - 1)
+    out = np.zeros(k)
+    for m in range(k):
+        joint = qbar_prev[m] * qt[:, xt_label]
+        out += p0[m] * joint / joint.sum()
+    return out
+
+
+def fd_worst(params: dict, grads: dict, evaluate, h: float, floor: float,
+             subset: int = 1) -> float:
+    """Worst relative error |fd - g| / max(|fd|, |g|, floor) of the analytic
+    gradients against central differences, over every `subset`-th parameter
+    entry (by name, then C order). `evaluate()` returns the scalar and the ReLU
+    pre-activations at the current parameters; each entry is moved in place and
+    restored. Central differences hold only where no ReLU changes sign between
+    the points they difference, so that is asserted at every step."""
+    signs = [a > 0 for a in evaluate()[1]]
+    worst = 0.0
+    count = 0
+    for name, arr in sorted(params.items()):
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            count += 1
+            if count % subset:
+                continue
+            i = it.multi_index
+            orig = arr[i]
+            values = []
+            for step in (h, -h):
+                arr[i] = orig + step
+                value, pre = evaluate()
+                assert all(np.array_equal(a > 0, s) for a, s in zip(pre, signs)), \
+                    f"{name}{list(i)} +- h moves a ReLU pre-activation across zero"
+                values.append(value)
+            arr[i] = orig
+            fd = (values[0] - values[1]) / (2 * h)
+            worst = max(worst, abs(fd - grads[name][i]) / max(abs(fd), abs(grads[name][i]), floor))
+    return worst
+
+
+def denoiser_fd(params: dict, config: dn.DenoiserConfig, x: np.ndarray, t: int,
+                upstream: np.ndarray, h: float, subset: int = 1) -> float:
+    """`fd_worst` of the denoiser's parameter gradients of <upstream, forward(x)>."""
+    _, cache = dn.forward(params, config, x, t, with_cache=True)
+    grads = dn.backward(params, config, cache, upstream)
+
+    def evaluate():
+        logits, cache = dn.forward(params, config, x, t, with_cache=True)
+        pre = [cache[key] for key in ("tpre", "pre1", "pre2", "pre3")]
+        return float((logits * upstream).sum()), pre
+
+    return fd_worst(params, grads, evaluate, h, 1e-8, subset)
+
+
+def vqvae_fd(params: dict, config: vq.VQVAEConfig, x: CategoricalField, weights: np.ndarray,
+             h: float, subset: int = 1) -> float:
+    """`fd_worst` of the VQ-VAE's straight-through gradients. The surrogate loss
+    freezes the code assignment and stop-gradients at the base point, which is
+    exactly what the straight-through rule assumes locally: the decoder sees
+    z + (zq - z) with the offset held constant, the codebook term sees a
+    constant z, the commitment term a constant zq."""
+    z0, enc_cache = vq.encode(params, config, x, with_cache=True)
+    zq0, idx = vq.quantize(params["codes"], z0)
+    logits, dec_cache = vq.decode(params, config, zq0, with_cache=True)
+    *_, dlogits = vq.vqvae_loss(x, logits, z0, zq0, weights, config.beta_commit)
+    grads = vq.vqvae_grads(params, config, dlogits, enc_cache, dec_cache, z0, zq0, idx)
+
+    def evaluate():
+        z, enc = vq.encode(params, config, x, with_cache=True)
+        logits, dec = vq.decode(params, config, z + (zq0 - z0), with_cache=True)
+        _, recon, *_ = vq.vqvae_loss(x, logits, z, z, weights, 0.0)
+        npos = int(np.prod(z.shape[:3]))
+        codebook = float(((params["codes"][idx] - z0) ** 2).sum()) / npos
+        commit = config.beta_commit * float(((z - zq0) ** 2).sum()) / npos
+        return recon + codebook + commit, [enc["pre1"], dec["u1"]]
+
+    return fd_worst(params, grads, evaluate, h, 1e-7, subset)
+
+
+def export_ply_loop(grid: VoxelGrid, table: ClassTable, path):
+    """`sceneio.export_ply` as one formatted line per voxel: the byte reference."""
+    xs, ys, zs = np.nonzero(grid.labels != 0)
+    labels = grid.labels[xs, ys, zs]
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(xs)}",
+             "property float x", "property float y", "property float z",
+             "property uchar red", "property uchar green", "property uchar blue",
+             "end_header"]
+    colors = np.asarray(table.colors, dtype=np.int64)
+    for x, y, z, lab in zip(xs, ys, zs, labels):
+        r, g, b = colors[lab]
+        lines.append(f"{x + 0.5} {y + 0.5} {z + 0.5} {r} {g} {b}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass

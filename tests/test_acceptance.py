@@ -21,7 +21,8 @@ from scenediff.sceneio import load_scene, save_scene
 from scenediff.schedule import UniformTransition, make_schedule
 from scenediff.toydata import ToySceneParams, generate_toy_dataset, toy_class_table
 
-from oracles import diffusion_loss, q_onestep, timing_report
+from oracles import (denoiser_fd, diffusion_loss, posterior_enumeration, q_onestep,
+                     timing_report, vqvae_fd)
 
 
 def report(num: int, name: str, ok: bool) -> bool:
@@ -69,17 +70,6 @@ def test_criterion_02_forward_marginal_correctness():
     assert report(2, f"forward-marginal correctness (L1 {worst:.4f}, {elapsed:.1f}s)", ok)
 
 
-def enumerate_posterior(xt_label, p0, t, trans):
-    k = trans.num_classes
-    qt = trans.single_step_matrix(t)
-    qbar_prev = trans.cumulative_matrix(t - 1)
-    out = np.zeros(k)
-    for m in range(k):
-        joint = qbar_prev[m] * qt[:, xt_label]
-        out += p0[m] * joint / joint.sum()
-    return out
-
-
 def test_criterion_03_posterior_exactness():
     rng = np.random.default_rng(303)
     worst = worst_norm = 0.0
@@ -91,8 +81,8 @@ def test_criterion_03_posterior_exactness():
                 xt = VoxelGrid(rng.integers(0, k, size=(1, 1, 1)))
                 p0 = CategoricalField(rng.dirichlet(np.ones(k)).reshape(1, 1, 1, k))
                 post = posterior(xt, p0, t, trans)
-                ref = enumerate_posterior(int(xt.labels.ravel()[0]),
-                                          p0.probs.reshape(-1), t, trans)
+                ref = posterior_enumeration(int(xt.labels.ravel()[0]),
+                                            p0.probs.reshape(-1), t, trans)
                 worst = max(worst, float(np.max(np.abs(post.probs.reshape(-1) - ref))))
                 worst_norm = max(worst_norm, abs(float(post.probs.sum()) - 1.0))
                 pairs += 1
@@ -109,12 +99,12 @@ def test_criterion_04_loss_sanity():
         x0 = VoxelGrid(rng.integers(0, 4, size=(3, 3, 2)))
         t = int(rng.integers(1, 21))
         x_t = sample_field(q_marginal(one_hot(x0, 4), t, trans), rng)
-        logits = CategoricalField(rng.normal(size=(3, 3, 2, 4)))
+        logits = rng.normal(size=(3, 3, 2, 4))
         total, vb, aux = diffusion_loss(x0, t, logits, x_t, 0.3, trans)
         ok &= total >= 0 and vb >= 0 and aux >= 0
         zero_total, zero_vb, _ = diffusion_loss(x0, t, logits, x_t, 0.0, trans)
         ok &= zero_total == zero_vb
-        perfect = CategoricalField(np.log(one_hot(x0, 4).probs + 1e-10))
+        perfect = np.log(one_hot(x0, 4).probs + 1e-10)
         p_total, _, _ = diffusion_loss(x0, t, perfect, x_t, 0.0, trans)
         perfect_worst = max(perfect_worst, p_total)
     ok &= perfect_worst < 1e-6
@@ -128,68 +118,17 @@ def test_criterion_05_gradient_fidelity():
                                time_dim=8, time_hidden=10, num_steps=10)
     params = dn.init_params(config, 1)
     rng = np.random.default_rng(505)
+    h = 1e-5
     x = rng.random((4, 4, 2, 3))
     up = rng.normal(size=(4, 4, 2, 3))
-    _, cache = dn.forward(params, config, x, 4, with_cache=True)
-    grads = dn.backward(params, config, cache, up)
+    worst_dn = denoiser_fd(params, config, x, 4, up, h)
 
-    def dn_scalar():
-        return float((dn.forward(params, config, x, 4) * up).sum())
-
-    worst_dn = 0.0
-    h = 1e-5
-    for name, arr in sorted(params.items()):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = arr[i]
-            arr[i] = orig + h
-            fp = dn_scalar()
-            arr[i] = orig - h
-            fm = dn_scalar()
-            arr[i] = orig
-            fd = (fp - fm) / (2 * h)
-            denom = max(abs(fd), abs(grads[name][i]), 1e-8)
-            worst_dn = max(worst_dn, abs(fd - grads[name][i]) / denom)
-
-    # VQ-VAE straight-through on a 4x4x2 instance: the surrogate freezes the
-    # code assignment and stop-gradients exactly as the update rule assumes
+    # VQ-VAE straight-through on a 4x4x2 instance, every parameter
     vconfig = vq.VQVAEConfig(num_classes=3, num_codes=5, code_dim=3, hidden=4,
                              strides=((2, 2, 1), (2, 2, 2)))
     vparams = vq.init_params(vconfig, 2)
     g = VoxelGrid(rng.integers(0, 3, size=(4, 4, 2)))
-    xf = one_hot(g, 3)
-    weights = np.linspace(0.5, 1.5, 3)
-    z, enc_cache = vq.encode(vparams, vconfig, xf, with_cache=True)
-    zq, idx = vq.quantize(vparams["codes"], z)
-    logits, dec_cache = vq.decode(vparams, vconfig, zq, with_cache=True)
-    *_, dlogits = vq.vqvae_loss(xf, logits, z, zq, weights, vconfig.beta_commit)
-    vgrads = vq.vqvae_grads(vparams, vconfig, dlogits, enc_cache, dec_cache, z, zq, idx)
-
-    def vq_scalar():
-        zz = vq.encode(vparams, vconfig, xf)
-        logits = vq.decode(vparams, vconfig, zz + (zq - z))
-        _, recon, *_ = vq.vqvae_loss(xf, logits, zz, zz, weights, 0.0)
-        npos = int(np.prod(zz.shape[:3]))
-        codebook = float(((vparams["codes"][idx] - z) ** 2).sum()) / npos
-        commit = vconfig.beta_commit * float(((zz - zq) ** 2).sum()) / npos
-        return recon + codebook + commit
-
-    worst_vq = 0.0
-    h = 1e-5
-    for name, arr in sorted(vparams.items()):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = arr[i]
-            arr[i] = orig + h
-            fp = vq_scalar()
-            arr[i] = orig - h
-            fm = vq_scalar()
-            arr[i] = orig
-            fd = (fp - fm) / (2 * h)
-            denom = max(abs(fd), abs(vgrads[name][i]), 1e-7)
-            worst_vq = max(worst_vq, abs(fd - vgrads[name][i]) / denom)
+    worst_vq = vqvae_fd(vparams, vconfig, one_hot(g, 3), np.linspace(0.5, 1.5, 3), h)
 
     elapsed = time.time() - t0
     ok = worst_dn < 1e-4 and worst_vq < 1e-3 and elapsed < 120

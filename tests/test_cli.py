@@ -323,6 +323,20 @@ def test_sample_rejects_truncated_checkpoint(tmp_path, capsys):
     assert out.startswith("error: ") and len(out.splitlines()) == 1
 
 
+def test_train_latent_writes_the_same_bytes_for_a_vqvae_at_any_path(tiny_data, tmp_path):
+    paths = write_valid_models(tmp_path)
+    moved = tmp_path / "elsewhere" / "copy.vxdn"
+    moved.parent.mkdir()
+    moved.write_bytes(paths["vqvae"].read_bytes())
+    outs = []
+    for i, vq_path in enumerate((paths["vqvae"], moved)):
+        outs.append(tmp_path / f"lat{i}.vxdn")
+        assert run(["train-latent", "--data", str(tiny_data), "--vqvae", str(vq_path),
+                    "--out", str(outs[-1]), "--set", "epochs=1", "--set", "num_steps=3",
+                    "--set", "hidden=3,4"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_sample_rejects_latent_codebook_mismatch(tmp_path, capsys):
     vq_config = vq.VQVAEConfig(num_classes=4, num_codes=8, code_dim=3, hidden=4)
     vq_ckpt = tmp_path / "vq.vxdn"

@@ -7,6 +7,8 @@ from scenediff.errors import CheckpointError, TrainingDiverged
 from scenediff.grids import VoxelGrid, one_hot
 from scenediff.schedule import UniformTransition, make_schedule
 
+from oracles import denoiser_fd
+
 SMALL = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7),
                           time_dim=8, time_hidden=10, num_steps=10)
 
@@ -68,43 +70,13 @@ def test_bias_gradient_is_summed_upstream():
     np.testing.assert_allclose(grads["out_b"], up.reshape(-1, 3).sum(axis=0), atol=1e-12)
 
 
-def fd_check(params, config, x, t, upstream, h=1e-4, subset=None):
-    """Relative error of analytic vs central-difference gradients of
-    <upstream, forward(params)>. Returns the worst error over all parameters."""
-    _, cache = dn.forward(params, config, x, t, with_cache=True)
-    grads = dn.backward(params, config, cache, upstream)
-
-    def scalar():
-        return float((dn.forward(params, config, x, t) * upstream).sum())
-
-    worst = 0.0
-    counter = 0
-    for name, arr in sorted(params.items()):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            counter += 1
-            if subset is not None and counter % subset:
-                continue
-            orig = arr[i]
-            arr[i] = orig + h
-            fp = scalar()
-            arr[i] = orig - h
-            fm = scalar()
-            arr[i] = orig
-            fd = (fp - fm) / (2 * h)
-            denom = max(abs(fd), abs(grads[name][i]), 1e-8)
-            worst = max(worst, abs(fd - grads[name][i]) / denom)
-    return worst
-
-
 def test_gradients_match_finite_differences():
     params = small_params()
     rng = np.random.default_rng(5)
     x = rng.random((4, 4, 2, 3))
     up = rng.normal(size=(4, 4, 2, 3))
     # spot-check ~1/8 of the parameters here; the acceptance suite covers 100%
-    assert fd_check(params, SMALL, x, 4, up, subset=8) < 1e-4
+    assert denoiser_fd(params, SMALL, x, 4, up, 1e-4, subset=8) < 1e-4
 
 
 # the first layer gathers weight rows when in_channels > hidden[0], else it
@@ -150,12 +122,19 @@ def test_label_path_gradients_match_finite_differences(name):
     config = LABEL_CONFIGS[name]
     params = dn.init_params(config, 1)
     idx, _ = label_and_dense_inputs(config, 7)
-    # central differences hold only away from the ReLU kinks: no pre-activation
-    # is within 5 steps (h = 1e-4) of zero at this input
-    _, cache = dn.forward(params, config, idx, 4, with_cache=True)
-    assert min(np.abs(cache[key]).min() for key in ("pre1", "pre2", "pre3")) > 5e-4
     up = np.random.default_rng(6).normal(size=idx.shape[:3] + (config.num_classes,))
-    assert fd_check(params, config, idx, 4, up, subset=8) < 1e-4
+    assert denoiser_fd(params, config, idx, 4, up, 1e-4, subset=8) < 1e-4
+
+
+def test_finite_differences_refuse_a_step_across_a_relu_kink():
+    # at this input enc1_b[1] +- h moves a pre-activation across zero, where a
+    # central difference does not measure the gradient
+    config = LABEL_CONFIGS["conditioned-gather"]
+    params = dn.init_params(config, 1)
+    idx, _ = label_and_dense_inputs(config, 5)
+    up = np.random.default_rng(6).normal(size=idx.shape[:3] + (config.num_classes,))
+    with pytest.raises(AssertionError, match=r"enc1_b\[1\] \+- h moves a ReLU"):
+        denoiser_fd(params, config, idx, 4, up, 1e-4, subset=8)
 
 
 def test_build_input_rejects_labels_out_of_range():
@@ -274,6 +253,6 @@ def test_condition_channel_is_consumed():
     cond_b = VoxelGrid(np.ones((4, 4, 2), dtype=int))
     fn_a = dn.as_denoiser_fn(params, config, cond_a)
     fn_b = dn.as_denoiser_fn(params, config, cond_b)
-    assert not np.allclose(fn_a(x_t, 2).probs, fn_b(x_t, 2).probs)
+    assert not np.allclose(fn_a(x_t, 2), fn_b(x_t, 2))
     with pytest.raises(ValueError):
         dn.as_denoiser_fn(params, config)(x_t, 2)

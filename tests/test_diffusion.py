@@ -6,7 +6,7 @@ from scenediff.diffusion import (diffusion_loss_and_grad, kl_categorical, poster
 from scenediff.grids import CategoricalField, VoxelGrid, one_hot
 from scenediff.schedule import UniformTransition, make_schedule
 
-from oracles import diffusion_loss, q_onestep
+from oracles import diffusion_loss, posterior_enumeration, q_onestep
 
 
 @pytest.fixture
@@ -71,18 +71,6 @@ def test_sample_field_monte_carlo():
     assert np.abs(freq - p).sum() < 0.01
 
 
-def posterior_enumeration(xt_label, p0, t, trans):
-    """Exhaustive K^2 oracle: q(x_{t-1}, x_t | x0) / q(x_t | x0), mixed over p0."""
-    k = trans.num_classes
-    qt = trans.single_step_matrix(t)
-    qbar_prev = trans.cumulative_matrix(t - 1)
-    out = np.zeros(k)
-    for m in range(k):
-        joint = np.array([qbar_prev[m, j] * qt[j, xt_label] for j in range(k)])
-        out += p0[m] * joint / joint.sum()
-    return out
-
-
 def test_posterior_matches_enumeration():
     rng = np.random.default_rng(4)
     for k in (2, 3, 6):
@@ -102,7 +90,7 @@ def test_posterior_matches_enumeration():
 def test_posterior_delta_when_alpha_bar_prev_is_one():
     # with alpha_bar_1 == 1 the t=2 posterior collapses onto the one-hot x0~
     from scenediff.schedule import NoiseSchedule
-    sched = NoiseSchedule(np.array([1e-12, 0.5]), np.array([1.0 - 1e-12, 0.5 * (1 - 1e-12)]))
+    sched = NoiseSchedule(np.array([1e-12, 0.5]))
     trans = UniformTransition(3, sched)
     x0 = one_hot(VoxelGrid(np.array([[[2]]])), 3)
     post = posterior(VoxelGrid(np.array([[[0]]])), x0, 2, trans)
@@ -133,6 +121,51 @@ def test_posterior_at_t1_is_the_prediction():
         assert np.array_equal(posterior(x_t, exact, 1, trans).probs, exact.probs)
 
 
+def exact_denoiser(pi, t, trans):
+    """The exact x0~ for data drawn from pi, for each observed label c as a
+    (K, 1, 1, K) field: p(x0 = m | x_t = c) proportional to pi_m Qbar_t[m, c]."""
+    k = trans.num_classes
+    joint = pi[:, None] * trans.cumulative_matrix(t)
+    return CategoricalField((joint / joint.sum(axis=0)).T.reshape(k, 1, 1, k))
+
+
+EXACT_CASES = [(kind, k, steps) for kind in ("cosine", "linear")
+               for k in (3, 5, 7) for steps in (10, 20, 50)]
+
+
+@pytest.mark.parametrize("kind, k, steps", EXACT_CASES)
+def test_reverse_chain_of_the_exact_denoiser_returns_the_data(kind, k, steps):
+    # chaining the library's reverse kernels q(x_{t-1} | x_t = c) with the exact
+    # x0~ from q(x_T) = pi Qbar_T down to t = 1 must give pi back
+    trans = UniformTransition(k, make_schedule(kind, steps))
+    pi = np.random.default_rng(k * steps).dirichlet(np.ones(k))
+    every_label = VoxelGrid(np.arange(k).reshape(k, 1, 1))
+    q = pi @ trans.cumulative_matrix(steps)
+    for t in range(steps, 0, -1):
+        q = q @ posterior(every_label, exact_denoiser(pi, t, trans), t, trans).flat()
+    assert np.max(np.abs(q - pi)) < 1e-14
+
+
+@pytest.mark.parametrize("kind, k, steps", EXACT_CASES)
+def test_bound_of_the_exact_denoiser_is_entropy_plus_prior_mismatch(kind, k, steps):
+    # E_{x0~pi}[-ELBO] = H(pi) + KL(pi Qbar_T || uniform) with the exact x0~,
+    # enumerating every (x0 = m, x_t = c) pair; the t = 1 term is the decoder NLL
+    trans = UniformTransition(k, make_schedule(kind, steps))
+    pi = np.random.default_rng(k * steps).dirichlet(np.ones(k))
+    x0 = one_hot(VoxelGrid(np.repeat(np.arange(k), k).reshape(k, k, 1)), k)
+    x_t = VoxelGrid(np.tile(np.arange(k), k).reshape(k, k, 1))
+    uniform = np.full(k, 1.0 / k)
+    bound = pi @ kl_categorical(q_marginal(x0, steps, trans).probs[:, 0, 0], uniform)
+    for t in range(1, steps + 1):
+        rows = exact_denoiser(pi, t, trans).probs.reshape(1, k, 1, k)
+        pred = CategoricalField(np.broadcast_to(rows, (k, k, 1, k)))  # [m, c] -> row c
+        true = posterior(x_t, x0, t, trans).probs
+        vb = kl_categorical(true, posterior(x_t, pred, t, trans).probs)[..., 0]
+        bound += (pi[:, None] * trans.cumulative_matrix(t) * vb).sum()
+    prior_mismatch = kl_categorical(pi @ trans.cumulative_matrix(steps), uniform)
+    assert abs(bound - (-(pi * np.log(pi)).sum() + prior_mismatch)) < 1e-13
+
+
 def test_kl_categorical():
     q = np.array([0.3, 0.7])
     assert kl_categorical(q, q) == pytest.approx(0.0, abs=1e-15)
@@ -157,11 +190,11 @@ def test_diffusion_loss_sanity(trans):
     x0 = VoxelGrid(rng.integers(0, 4, size=(3, 3, 2)))
     for t in (1, 5, 20):
         x_t = sample_field(q_marginal(one_hot(x0, 4), t, trans), rng)
-        perfect = CategoricalField(np.log(one_hot(x0, 4).probs + 1e-10))
+        perfect = np.log(one_hot(x0, 4).probs + 1e-10)
         total, vb, aux = diffusion_loss(x0, t, perfect, x_t, 0.001, trans)
         assert vb < 1e-6
         assert aux < 1e-5
-        logits = CategoricalField(rng.normal(size=(3, 3, 2, 4)))
+        logits = rng.normal(size=(3, 3, 2, 4))
         total, vb, aux = diffusion_loss(x0, t, logits, x_t, 0.0, trans)
         assert total == vb
         assert total >= 0 and aux >= 0
@@ -173,10 +206,10 @@ def test_diffusion_loss_compositional_oracle():
     rng = np.random.default_rng(7)
     x0 = VoxelGrid(np.array([[[2]]]))
     x_t = VoxelGrid(np.array([[[1]]]))
-    logits = CategoricalField(rng.normal(size=(1, 1, 1, 4)))
+    logits = rng.normal(size=(1, 1, 1, 4))
     _, vb, _ = diffusion_loss(x0, 5, logits, x_t, 0.5, trans)
     q_true = posterior(x_t, one_hot(x0, 4), 5, trans).probs.ravel()
-    p_pred = posterior(x_t, CategoricalField(softmax(logits.probs)), 5, trans).probs.ravel()
+    p_pred = posterior(x_t, CategoricalField(softmax(logits)), 5, trans).probs.ravel()
     assert vb == pytest.approx(kl_categorical(q_true, p_pred), abs=1e-12)
 
 
@@ -186,16 +219,15 @@ def test_diffusion_loss_gradient_finite_differences(trans):
     x_t = VoxelGrid(rng.integers(0, 4, size=(2, 2, 1)))
     logits = rng.normal(size=(2, 2, 1, 4))
     for t in (1, 2, 9):
-        _, _, _, grad = diffusion_loss_and_grad(
-            x0, t, CategoricalField(logits), x_t, 0.3, trans)
+        _, _, _, grad = diffusion_loss_and_grad(x0, t, logits, x_t, 0.3, trans)
         h = 1e-6
         for idx in np.ndindex(logits.shape):
             lp, lm = logits.copy(), logits.copy()
             lp[idx] += h
             lm[idx] -= h
-            fp, _, _ = diffusion_loss(x0, t, CategoricalField(lp), x_t, 0.3, trans)
-            fm, _, _ = diffusion_loss(x0, t, CategoricalField(lm), x_t, 0.3, trans)
-            assert grad.probs[idx] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
+            fp, _, _ = diffusion_loss(x0, t, lp, x_t, 0.3, trans)
+            fm, _, _ = diffusion_loss(x0, t, lm, x_t, 0.3, trans)
+            assert grad[idx] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
 
 
 def test_reverse_step_contracts(trans):
@@ -203,7 +235,7 @@ def test_reverse_step_contracts(trans):
     target = VoxelGrid(rng.integers(0, 4, size=(3, 3, 2)))
 
     def oracle_denoiser(x_t, t):
-        return CategoricalField(np.log(one_hot(target, 4).probs + 1e-12))
+        return np.log(one_hot(target, 4).probs + 1e-12)
 
     x1 = VoxelGrid(rng.integers(0, 4, size=(3, 3, 2)))
     out = reverse_step(x1, 1, oracle_denoiser, trans, np.random.default_rng(0))
@@ -211,7 +243,7 @@ def test_reverse_step_contracts(trans):
 
     def random_denoiser(x_t, t):
         r = np.random.default_rng(hash((t, 0)) % 2**32)
-        return CategoricalField(r.normal(size=x_t.dims + (4,)))
+        return r.normal(size=x_t.dims + (4,))
 
     a = reverse_step(x1, 7, random_denoiser, trans, np.random.default_rng(3))
     b = reverse_step(x1, 7, random_denoiser, trans, np.random.default_rng(3))
@@ -225,16 +257,16 @@ def test_reverse_step_at_t1_draws_from_the_prediction(trans):
     rng = np.random.default_rng(15)
     x1 = VoxelGrid(rng.integers(0, 4, size=(16, 16, 4)))
     for seed in range(20):
-        logits = CategoricalField(np.random.default_rng(seed).normal(size=(16, 16, 4, 4)))
+        logits = np.random.default_rng(seed).normal(size=(16, 16, 4, 4))
         step = reverse_step(x1, 1, lambda x_t, t: logits, trans, np.random.default_rng(seed))
-        direct = sample_field(CategoricalField(softmax(logits.probs)), np.random.default_rng(seed))
+        direct = sample_field(CategoricalField(softmax(logits)), np.random.default_rng(seed))
         assert step == direct
 
 
 def test_sample_loop_contracts(trans):
     def random_denoiser(x_t, t):
         r = np.random.default_rng(t)
-        return CategoricalField(r.normal(size=x_t.dims + (4,)))
+        return r.normal(size=x_t.dims + (4,))
 
     g1 = sample_loop(random_denoiser, (4, 3, 2), trans, np.random.default_rng(0))
     g2 = sample_loop(random_denoiser, (4, 3, 2), trans, np.random.default_rng(1))
@@ -246,7 +278,7 @@ def test_sample_loop_contracts(trans):
     one_step = UniformTransition(3, make_schedule("linear", 1))
 
     def oracle(x_t, t):
-        return CategoricalField(np.log(one_hot(target, 3).probs + 1e-12))
+        return np.log(one_hot(target, 3).probs + 1e-12)
 
     assert sample_loop(oracle, (2, 2, 2), one_step, np.random.default_rng(5)) == target
 
@@ -316,13 +348,12 @@ def test_closed_form_matches_dense_oracle_at_full_scale_codebook():
         for p0 in (random_field(rng, dims, k), one_hot(x0, k)):
             got = posterior(x_t, p0, t, trans).flat()
             assert np.max(np.abs(got - dense_posterior(xt_flat, p0.flat(), t, trans))) < 1e-12
-        total, vb, _, grad = diffusion_loss_and_grad(
-            x0, t, CategoricalField(logits), x_t, 0.3, trans)
+        total, vb, _, grad = diffusion_loss_and_grad(x0, t, logits, x_t, 0.3, trans)
         ref_total, ref_vb, ref_grad = dense_loss_and_grad(
             x0.labels.reshape(-1), xt_flat, logits.reshape(-1, k), 0.3, t, trans)
         assert abs(vb - ref_vb) < 1e-12
         assert abs(total - ref_total) < 1e-12
-        assert np.max(np.abs(grad.flat() - ref_grad)) < 1e-12
+        assert np.max(np.abs(grad.reshape(-1, k) - ref_grad)) < 1e-12
 
 
 def test_diffusion_loss_gradient_finite_differences_k64():
@@ -333,12 +364,12 @@ def test_diffusion_loss_gradient_finite_differences_k64():
     x_t = VoxelGrid(np.array([[[x0.labels[0, 0, 0]]], [[rng.integers(0, k)]]]))
     logits = rng.normal(size=(2, 1, 1, k))
     t = 6
-    _, _, _, grad = diffusion_loss_and_grad(x0, t, CategoricalField(logits), x_t, 0.3, trans)
+    _, _, _, grad = diffusion_loss_and_grad(x0, t, logits, x_t, 0.3, trans)
     h = 1e-6
     for idx in np.ndindex(logits.shape):
         lp, lm = logits.copy(), logits.copy()
         lp[idx] += h
         lm[idx] -= h
-        fp, _, _ = diffusion_loss(x0, t, CategoricalField(lp), x_t, 0.3, trans)
-        fm, _, _ = diffusion_loss(x0, t, CategoricalField(lm), x_t, 0.3, trans)
-        assert grad.probs[idx] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
+        fp, _, _ = diffusion_loss(x0, t, lp, x_t, 0.3, trans)
+        fm, _, _ = diffusion_loss(x0, t, lm, x_t, 0.3, trans)
+        assert grad[idx] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)

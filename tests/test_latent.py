@@ -61,7 +61,7 @@ def test_sample_latent_pins_to_denoiser_output():
 
     def params_free_sample(rng):
         def denoise(x_t, t):
-            return CategoricalField(logits)
+            return logits
 
         from scenediff.diffusion import sample_loop
         idx = sample_loop(denoise, (2, 2, 2), trans, rng)

@@ -10,6 +10,8 @@ from scenediff.grids import ClassTable, VoxelGrid
 from scenediff.sceneio import export_ply, export_slices, load_scene, rle_decode, rle_encode, save_scene
 from scenediff.toydata import ToySceneParams, generate_toy_scene, toy_class_table
 
+from oracles import export_ply_loop
+
 
 def test_round_trip_raw_and_rle(tmp_path):
     rng = np.random.default_rng(0)
@@ -169,6 +171,22 @@ def test_export_ply_counts_and_palette(tmp_path):
     body = lines[lines.index("end_header") + 1:]
     assert len(body) == 2
     assert body[0].endswith("100 150 245")  # Vehicles palette entry
+
+
+def test_export_ply_matches_the_per_voxel_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(17)
+    table = toy_class_table(11)
+    far = np.zeros((2**20 + 3, 1, 2), dtype=int)  # coordinates above 2^20
+    far[-3:, 0, 1] = [3, 0, 10]
+    far[5, 0, 0] = 1
+    grids = [VoxelGrid(np.zeros((3, 3, 2), dtype=int)), VoxelGrid(far),
+             generate_toy_scene(ToySceneParams(dims=(32, 32, 8), num_classes=11), 2)]
+    grids += [VoxelGrid(rng.integers(0, 11, size=tuple(rng.integers(1, 12, size=3))))
+              for _ in range(8)]
+    for i, grid in enumerate(grids):
+        export_ply(grid, table, tmp_path / "fast.ply")
+        export_ply_loop(grid, table, tmp_path / "loop.ply")
+        assert (tmp_path / "fast.ply").read_bytes() == (tmp_path / "loop.ply").read_bytes(), i
 
 
 def test_export_slices_ppm(tmp_path):

@@ -25,9 +25,11 @@ def test_cosine_decreasing_and_terminal():
 
 
 def test_product_identity_both_kinds():
+    # a schedule is beta alone; alpha_bar is the product it implies
+    np.testing.assert_array_equal(NoiseSchedule([0.1, 0.2]).alpha_bar, np.cumprod([0.9, 0.8]))
     for kind in ("cosine", "linear"):
         s = make_schedule(kind, 60)
-        np.testing.assert_allclose(s.alpha_bar, np.cumprod(1 - s.beta), atol=1e-12)
+        np.testing.assert_array_equal(s.alpha_bar, np.cumprod(1 - s.beta))
 
 
 def test_linear_endpoints():
@@ -48,9 +50,13 @@ def test_alpha_bar_zero_convention_and_range_check():
 
 def test_schedule_invariants_enforced():
     with pytest.raises(ValueError):
-        NoiseSchedule(np.array([0.0, 0.1]), np.array([1.0, 0.9]))
+        NoiseSchedule(np.array([0.0, 0.1]))
+    with pytest.raises(ValueError):  # beta = 1 leaves alpha_bar at 0 from then on
+        NoiseSchedule(np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):  # alpha_bar underflows to 0
+        NoiseSchedule(np.full(400, 0.9))
     with pytest.raises(ValueError):
-        NoiseSchedule(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
+        NoiseSchedule(np.full((2, 2), 0.1))
 
 
 def test_rows_sum_to_one():

@@ -39,7 +39,7 @@ def test_task_rejects_dim_mismatch():
     a = VoxelGrid(np.zeros((2, 2, 2), dtype=int))
     b = VoxelGrid(np.zeros((2, 2, 1), dtype=int))
     with pytest.raises(ValueError):
-        ssc.CompletionTask(a, b, 0.1)
+        ssc.CompletionTask(a, b)
 
 
 def test_majority_class_predictor():
@@ -48,7 +48,7 @@ def test_majority_class_predictor():
     labels[0, 0, 1] = 2
     predict = ssc.majority_class_predictor([VoxelGrid(labels)])
     task = ssc.CompletionTask(VoxelGrid(np.zeros((3, 3, 1), dtype=int)),
-                              VoxelGrid(np.zeros((3, 3, 1), dtype=int)), 0.1)
+                              VoxelGrid(np.zeros((3, 3, 1), dtype=int)))
     out = predict(task)
     assert out.dims == (3, 3, 1)
     assert np.all(out.labels == 0)  # free is still the most frequent label
@@ -97,6 +97,16 @@ def test_conditional_training_and_completion_smoke():
     again = ssc.complete(params, config, trans, tasks[0].condition,
                          np.random.default_rng(0))
     assert out == again
+
+
+@pytest.mark.parametrize("k, steps", [(5, 5), (4, 20)], ids=["K", "T"])
+def test_complete_rejects_transitions_that_differ_from_the_model(k, steps):
+    # small_config has K = 4, T = 5
+    config = small_config()
+    condition = VoxelGrid(np.zeros((4, 4, 2), dtype=int))
+    trans = UniformTransition(k, make_schedule("cosine", steps))
+    with pytest.raises(ValueError, match=f"transitions have K={k}, T={steps}"):
+        ssc.complete(dn.init_params(config, 0), config, trans, condition, np.random.default_rng(0))
 
 
 def test_evaluate_identity_oracle_scores_perfectly():
