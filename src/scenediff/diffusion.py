@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import CategoricalField, VoxelGrid, one_hot
+from .grids import CategoricalField, VoxelGrid, label_dtype, one_hot
 from .schedule import UniformTransition
 
 PROB_FLOOR = 1e-12
@@ -30,7 +30,7 @@ def sample_field(field: CategoricalField, rng: np.random.Generator) -> VoxelGrid
     cdf = np.cumsum(p, axis=-1)
     u = rng.random(p.shape[0]) * cdf[:, -1]
     labels = (u[:, None] >= cdf).sum(axis=-1)
-    labels = np.minimum(labels, p.shape[1] - 1)
+    labels = np.minimum(labels, p.shape[1] - 1).astype(label_dtype(p.shape[1]))
     return VoxelGrid(labels.reshape(field.dims))
 
 
@@ -169,9 +169,11 @@ def reverse_step(x_t: VoxelGrid, t: int, denoiser, trans: UniformTransition,
 
 def sample_loop(denoiser, dims: tuple[int, int, int], trans: UniformTransition,
                 rng: np.random.Generator) -> VoxelGrid:
-    """Full ancestral sampler: uniform x_T, then reverse steps down to x_0."""
+    """Full ancestral sampler: uniform x_T, then reverse steps down to x_0.
+    x_T is drawn at the generator's default dtype, so the random stream does
+    not depend on the label dtype, and then stored as `label_dtype(K)`."""
     k = trans.num_classes
-    x = VoxelGrid(rng.integers(0, k, size=dims))
+    x = VoxelGrid(rng.integers(0, k, size=dims).astype(label_dtype(k)))
     for t in range(trans.schedule.num_steps, 0, -1):
         x = reverse_step(x, t, denoiser, trans, rng)
     return x

@@ -25,9 +25,24 @@ class ClassTable:
         return len(self.names)
 
 
+def label_dtype(num_classes: int) -> np.dtype:
+    """The dtype of a grid of labels in [0, num_classes): the smallest unsigned
+    integer type that holds num_classes - 1. That is uint8 up to 256 classes
+    and uint16 up to 65536, e.g. for the 1100-code index grids."""
+    if num_classes < 1:
+        raise ValueError(f"need at least one class; got {num_classes}")
+    return np.min_scalar_type(num_classes - 1)
+
+
 @dataclass
 class VoxelGrid:
-    """Dense 3D array of class indices, shape (X, Y, Z)."""
+    """Dense 3D array of class indices, shape (X, Y, Z).
+
+    Any integer dtype is accepted. Every grid the library makes stores its
+    labels in `label_dtype(K)`: one byte per voxel for a scene, two for an
+    index grid. Code that computes with labels reads them through
+    `checked_labels`, which widens them to intp, so no label arithmetic wraps.
+    """
 
     labels: np.ndarray
 
@@ -102,7 +117,7 @@ def one_hot(grid: VoxelGrid, num_classes: int) -> CategoricalField:
 
 def argmax_decode(field: CategoricalField) -> VoxelGrid:
     """Per-voxel argmax; ties break toward the lowest class index."""
-    return VoxelGrid(np.argmax(field.probs, axis=-1).astype(np.int64))
+    return VoxelGrid(np.argmax(field.probs, axis=-1).astype(label_dtype(field.num_classes)))
 
 
 def sparsify(grid: VoxelGrid, rate: float, seed: int) -> VoxelGrid:
@@ -117,6 +132,6 @@ def sparsify(grid: VoxelGrid, rate: float, seed: int) -> VoxelGrid:
     keep = int(np.ceil(rate * occ.size))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(occ, size=keep, replace=False) if occ.size else occ
-    out = np.zeros(grid.num_voxels, dtype=np.int64)
+    out = np.zeros(grid.num_voxels, dtype=label_dtype(2))
     out[chosen] = 1
     return VoxelGrid(out.reshape(grid.dims))

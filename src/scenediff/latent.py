@@ -6,7 +6,7 @@ import numpy as np
 
 from . import denoiser as dn
 from .diffusion import sample_loop
-from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
+from .grids import CategoricalField, VoxelGrid, argmax_decode, label_dtype, one_hot
 from .schedule import UniformTransition
 from .vqvae import VQVAETrainResult, decode, encode, quantize
 
@@ -17,7 +17,7 @@ def encode_dataset(vq: VQVAETrainResult, dataset) -> list[VoxelGrid]:
     for g in dataset:
         z = encode(vq.params, vq.config, one_hot(g, vq.config.num_classes))
         _, idx = quantize(vq.params["codes"], z)
-        out.append(VoxelGrid(idx))
+        out.append(VoxelGrid(idx.astype(label_dtype(vq.config.num_codes))))
     return out
 
 

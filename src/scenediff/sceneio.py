@@ -44,15 +44,16 @@ def rle_encode(labels: np.ndarray) -> bytes:
 
 
 def rle_decode(payload: bytes, expected: int) -> np.ndarray:
-    """Inverse of rle_encode, as int64 labels. The run counts are checked against
-    `expected` before any run is expanded, so memory stays bounded by the declared dims."""
+    """Inverse of rle_encode, as a new writable array of uint8 labels. The run
+    counts are checked against `expected` before any run is expanded, so memory
+    stays bounded by the declared dims: one byte per declared voxel."""
     if len(payload) % RUN.itemsize != 0:
         raise SceneFormatError("truncated RLE payload")
     runs = np.frombuffer(payload, dtype=RUN)
     total = int(runs["count"].sum(dtype=np.uint64))
     if total != expected:
         raise SceneFormatError(f"RLE payload decodes to {total} voxels, expected {expected}")
-    return np.repeat(runs["label"].astype(np.int64), runs["count"])
+    return np.repeat(runs["label"], runs["count"])
 
 
 def save_scene(grid: VoxelGrid, table: ClassTable, path, rle: bool = True):
@@ -61,7 +62,7 @@ def save_scene(grid: VoxelGrid, table: ClassTable, path, rle: bool = True):
     if grid.labels.min() < 0 or grid.labels.max() >= min(k, 256):
         raise ValueError("labels must fit the class table and 8 bits")
     x, y, z = grid.dims
-    flat = grid.labels.astype(np.uint8).reshape(-1, order="F")
+    flat = grid.labels.astype(np.uint8, copy=False).reshape(-1, order="F")
     header = MAGIC + struct.pack("<HH3IH", VERSION, FLAG_RLE if rle else 0, x, y, z, k)
     palette = bytes(c for rgb in table.colors for c in rgb)
     names = b"".join(
@@ -72,6 +73,9 @@ def save_scene(grid: VoxelGrid, table: ClassTable, path, rle: bool = True):
 
 
 def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
+    """Read a scene file. The labels are uint8 and own their memory: the raw
+    payload is copied once out of the file's bytes, the RLE payload is expanded
+    into a new array."""
     r = Reader(Path(path).read_bytes(), SceneFormatError)
     r.header(MAGIC, VERSION)
     flags, x, y, z, k = r.unpack("<H3IH")
@@ -87,10 +91,10 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
     else:
         if len(payload) != expected:
             raise SceneFormatError(f"payload holds {len(payload)} voxels, expected {expected}")
-        flat = np.frombuffer(payload, dtype=np.uint8)
+        flat = np.frombuffer(payload, dtype=np.uint8).copy()
     if flat.size and flat.max() >= k:
         raise SceneFormatError("label out of range for class table")
-    labels = flat.astype(np.int64, copy=False).reshape((x, y, z), order="F")
+    labels = flat.reshape((x, y, z), order="F")
     table = ClassTable(names, palette)
     return VoxelGrid(labels), table
 

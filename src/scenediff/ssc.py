@@ -11,7 +11,8 @@ import numpy as np
 from . import denoiser as dn
 from . import nn
 from .diffusion import sample_loop, weighted_cross_entropy
-from .grids import CategoricalField, ClassTable, VoxelGrid, argmax_decode, one_hot, sparsify
+from .grids import (CategoricalField, ClassTable, VoxelGrid, argmax_decode, label_dtype, one_hot,
+                    sparsify)
 from .metrics import inverse_frequency_weights, report_from_pairs
 from .schedule import UniformTransition
 
@@ -94,7 +95,7 @@ def majority_class_predictor(dataset):
     label = int(np.argmax(hist))
 
     def predict(task: CompletionTask, rng=None) -> VoxelGrid:
-        return VoxelGrid(np.full(task.condition.dims, label, dtype=np.int64))
+        return VoxelGrid(np.full(task.condition.dims, label, dtype=label_dtype(max_k)))
 
     return predict
 

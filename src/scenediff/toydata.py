@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ClassTable, VoxelGrid
+from .grids import ClassTable, VoxelGrid, label_dtype
 
 # Canonical toy classes; a table of K classes takes the first K rows.
 _TOY_CLASSES = [
@@ -59,7 +59,7 @@ def generate_toy_scene(params: ToySceneParams, seed: int) -> VoxelGrid:
     x, y, z = params.dims
     k = params.num_classes
     rng = np.random.default_rng(seed)
-    labels = np.zeros((x, y, z), dtype=np.int64)
+    labels = np.zeros((x, y, z), dtype=label_dtype(k))
 
     labels[:, :, 0] = LABEL_GROUND
 

@@ -46,15 +46,24 @@ def posterior_enumeration(xt_label: int, p0: np.ndarray, t: int, trans: UniformT
     return out
 
 
-def fd_worst(params: dict, grads: dict, evaluate, h: float, floor: float,
-             subset: int = 1) -> float:
+FD_FLOOR = 1e6  # in units of a central difference's rounding error; see fd_worst
+
+
+def fd_worst(params: dict, grads: dict, evaluate, h: float, subset: int = 1) -> float:
     """Worst relative error |fd - g| / max(|fd|, |g|, floor) of the analytic
     gradients against central differences, over every `subset`-th parameter
     entry (by name, then C order). `evaluate()` returns the scalar and the ReLU
     pre-activations at the current parameters; each entry is moved in place and
     restored. Central differences hold only where no ReLU changes sign between
-    the points they difference, so that is asserted at every step."""
-    signs = [a > 0 for a in evaluate()[1]]
+    the points they difference, so that is asserted at every step.
+
+    Rounding the scalar f leaves a central difference an absolute error of
+    order eps * |f| / h; the tests' differences measured up to 12 times that.
+    Gradients below FD_FLOOR times that size are judged by their absolute
+    error, so rounding alone reads about 1e-5 at most, whatever the input."""
+    value, pre = evaluate()
+    floor = FD_FLOOR * np.finfo(np.float64).eps * abs(value) / h
+    signs = [a > 0 for a in pre]
     worst = 0.0
     count = 0
     for name, arr in sorted(params.items()):
@@ -89,7 +98,7 @@ def denoiser_fd(params: dict, config: dn.DenoiserConfig, x: np.ndarray, t: int,
         pre = [cache[key] for key in ("tpre", "pre1", "pre2", "pre3")]
         return float((logits * upstream).sum()), pre
 
-    return fd_worst(params, grads, evaluate, h, 1e-8, subset)
+    return fd_worst(params, grads, evaluate, h, subset)
 
 
 def vqvae_fd(params: dict, config: vq.VQVAEConfig, x: CategoricalField, weights: np.ndarray,
@@ -114,7 +123,7 @@ def vqvae_fd(params: dict, config: vq.VQVAEConfig, x: CategoricalField, weights:
         commit = config.beta_commit * float(((z - zq0) ** 2).sum()) / npos
         return recon + codebook + commit, [enc["pre1"], dec["u1"]]
 
-    return fd_worst(params, grads, evaluate, h, 1e-7, subset)
+    return fd_worst(params, grads, evaluate, h, subset)
 
 
 def export_ply_loop(grid: VoxelGrid, table: ClassTable, path):

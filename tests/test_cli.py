@@ -394,12 +394,12 @@ def test_oversized_input_prints_one_error_line_naming_the_size(tmp_path, command
     scene = oversized_scene(tmp_path / "huge.vxsc")
     assert len(scene.read_bytes()) == 49
     argv, size = {
-        "export": (["export", "--scene", str(scene)], "64.0 GiB"),
+        "export": (["export", "--scene", str(scene)], "8.00 GiB"),
         "complete": (["complete", "--ckpt", str(models["denoiser"]), "--condition",
-                      str(scene)], "64.0 GiB"),
+                      str(scene)], "8.00 GiB"),
         "sample": (["sample", "--ckpt", str(models["denoiser"]),
                     "--dims", "2048x2048x2048"], "64.0 GiB"),
-        "gen-data": (["gen-data", "--dims", "4096x4096x4096"], "512. GiB"),
+        "gen-data": (["gen-data", "--dims", "4096x4096x4096"], "64.0 GiB"),
     }[command]
     code, out, err = run_capped(argv + ["--out", str(tmp_path / "out")], tmp_path)
     assert code == 1 and err == ""

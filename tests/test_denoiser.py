@@ -79,6 +79,18 @@ def test_gradients_match_finite_differences():
     assert denoiser_fd(params, SMALL, x, 4, up, 1e-4, subset=8) < 1e-4
 
 
+def test_finite_differences_judge_tiny_gradients_by_absolute_error():
+    # the input after criterion 05's: enc2_w[1, 0, 0, 0, 2] has gradient 7.6e-9,
+    # which a central difference at h = 1e-5 resolves only to ~4e-12 (rounding)
+    config = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7),
+                               time_dim=8, time_hidden=10, num_steps=10)
+    rng = np.random.default_rng(505)
+    rng.random((4, 4, 2, 3))
+    x = rng.random((4, 4, 2, 3))
+    up = rng.normal(size=(4, 4, 2, 3))
+    assert denoiser_fd(dn.init_params(config, 1), config, x, 4, up, 1e-5) < 1e-4
+
+
 # the first layer gathers weight rows when in_channels > hidden[0], else it
 # runs the dense conv on the expanded one-hot input
 LABEL_CONFIGS = {
