@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
 from .errors import ConfigError
+from .schedule import make_schedule
 
 Triple = tuple[int, int, int]
 
@@ -33,8 +34,13 @@ class RunConfig:
 
     def __post_init__(self):
         typed(self)
-        if self.seed < 0:
-            raise ConfigError(f"bad value {self.seed} for 'seed' (expected >= 0)")
+        for name in ("w0", "vq_beta_commit", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"bad value {getattr(self, name)} for {name!r} (expected >= 0)")
+        try:
+            make_schedule(self.schedule, self.num_steps)  # owns the schedule and num_steps rules
+        except ValueError as exc:
+            raise ConfigError(f"bad schedule: {exc}") from exc
 
 
 field_types = functools.cache(get_type_hints)  # a config's field -> its resolved annotation

@@ -8,8 +8,7 @@ hand-written gradients so they can be checked against finite differences.
 
 The input is one-hot x_t (plus the condition's occupancy channel), passed as
 the integer indices of each voxel's hot channels (`build_input`), so the first
-layer runs `nn.conv3d_onehot`. A float input of dense activations runs
-`nn.conv3d_same` instead, with the same result for a one-hot float input.
+layer runs `nn.conv3d_onehot`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ class DenoiserConfig:
 
     def __post_init__(self):
         typed(self)
-        sizes = self.hidden + (self.num_classes, self.kernel, self.time_dim, self.time_hidden)
+        sizes = self.hidden + (self.num_classes, self.kernel, self.time_dim, self.time_hidden,
+                               self.num_steps)
         if min(sizes) < 1 or self.kernel % 2 == 0:
             raise ValueError(f"sizes must be >= 1 and the kernel odd in {self}")
         if self.in_channels not in (self.num_classes, self.num_classes + 1):
@@ -76,20 +76,16 @@ def _time_bias(params, config: DenoiserConfig, t: int):
     return e, pre, h, (bias[:h1], bias[h1 : h1 + h2], bias[h1 + h2 :])
 
 
-def _labelled(x_in: np.ndarray) -> bool:
-    """True for hot channel indices (`build_input`), False for dense activations."""
-    return np.issubdtype(x_in.dtype, np.integer)
-
-
 def forward(params: dict, config: DenoiserConfig, x_in: np.ndarray, t: int,
             with_cache: bool = False):
-    """Logits (X, Y, Z, K) for an input of hot channel indices (X, Y, Z, m), as
-    `build_input` makes, or of dense activations (X, Y, Z, in_channels)."""
-    if x_in.ndim != 4 or not (_labelled(x_in) or x_in.shape[-1] == config.in_channels):
-        raise ValueError(f"expected (X,Y,Z,{config.in_channels}) input, got {x_in.shape}")
+    """Logits (X, Y, Z, K) for the hot channel indices (X, Y, Z, m) that
+    `build_input` makes; an entry equal to in_channels names no channel."""
+    if not (np.issubdtype(x_in.dtype, np.integer) and x_in.ndim == 4 and x_in.shape[-1] in (1, 2)
+            and 0 <= x_in.min() and x_in.max() <= config.in_channels):
+        raise ValueError(f"expected integer (X,Y,Z,1 or 2) hot channel indices in "
+                         f"[0, {config.in_channels}]; got {x_in.dtype} {x_in.shape}")
     e, tpre, th, (b1, b2, b3) = _time_bias(params, config, t)
-    first = nn.conv3d_onehot if _labelled(x_in) else nn.conv3d_same
-    pre1 = first(x_in, params["enc1_w"], params["enc1_b"]) + b1
+    pre1 = nn.conv3d_onehot(x_in, params["enc1_w"], params["enc1_b"]) + b1
     a1 = nn.relu(pre1)
     pre2 = nn.conv3d_same(a1, params["enc2_w"], params["enc2_b"]) + b2
     a2 = nn.relu(pre2)
@@ -118,8 +114,8 @@ def backward(params: dict, config: DenoiserConfig, cache: dict,
         cache["a1"], params["enc2_w"], dpre2)
     # a1 gets da3 through the skip branch; the input x_in needs no gradient
     dpre1 = nn.relu_backward(cache["pre1"], nn.conv3d_same_adjoint(dpre2, params["enc2_w"]) + da3)
-    first = nn.conv3d_onehot_backward if _labelled(cache["x_in"]) else nn.conv3d_same_backward
-    grads["enc1_w"], grads["enc1_b"] = first(cache["x_in"], params["enc1_w"], dpre1)
+    grads["enc1_w"], grads["enc1_b"] = nn.conv3d_onehot_backward(
+        cache["x_in"], params["enc1_w"], dpre1)
 
     # time-embedding MLP: each stage bias broadcasts over voxels, as the conv bias does
     dbias = np.concatenate([grads["enc1_b"], grads["enc2_b"], grads["dec1_b"]])

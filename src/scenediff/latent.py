@@ -45,6 +45,7 @@ def sample_latent(latent_params: dict, latent_config: dn.DenoiserConfig,
         raise ValueError(
             f"latent model has {latent_config.num_classes} classes and its transitions "
             f"{trans.num_classes}, but the VQ-VAE codebook has {n} codes")
+    dn.check_transitions(latent_config, trans)
     idx = sample_loop(dn.as_denoiser_fn(latent_params, latent_config), dims_latent, trans, rng)
     zq = vq.params["codes"][idx.labels]
     logits = decode(vq.params, vq.config, zq)

@@ -61,7 +61,8 @@ def _pre_json_format(path):
 
 
 def _denoiser_config_set(name, **values):
-    """A denoiser file whose JSON config holds `values`, which do not convert."""
+    """A denoiser file whose JSON config holds `values`, which do not convert or
+    break a rule."""
 
     def write(path):
         config = json.dumps(dict(asdict(DENOISER), **values))
@@ -105,6 +106,7 @@ MALFORMED = [_vqvae_missing_config_field, _denoiser_array_dropped, _denoiser_arr
              _vqvae_as_denoiser, _pre_json_format,
              _denoiser_config_set("num_steps_null", num_steps=None),
              _denoiser_config_set("num_steps_fraction", num_steps=3.5),
+             _denoiser_config_set("num_steps_zero", num_steps=0),
              _denoiser_config_set("kernel_bool", kernel=True),
              _denoiser_config_set("hidden_fraction", hidden=[3.7, 4]),
              DEEP_ARRAY, _denoiser_extra_array("shape_overflows_int64", (2**32 - 1,) * 3),

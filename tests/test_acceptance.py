@@ -119,7 +119,7 @@ def test_criterion_05_gradient_fidelity():
     params = dn.init_params(config, 1)
     rng = np.random.default_rng(505)
     h = 1e-5
-    x = rng.random((4, 4, 2, 3))
+    x = dn.build_input(VoxelGrid(rng.random((4, 4, 2, 3)).argmax(-1)), config, None)
     up = rng.normal(size=(4, 4, 2, 3))
     worst_dn = denoiser_fd(params, config, x, 4, up, h)
 
@@ -276,7 +276,7 @@ def test_criterion_12_format_round_trips(tmp_path):
     params = dn.init_params(config, 3)
     dn.save_denoiser(tmp_path / "d.vxdn", params, config)
     loaded, lconfig, _ = dn.load_denoiser(tmp_path / "d.vxdn")
-    x = rng.random((4, 4, 2, 4))
+    x = dn.build_input(VoxelGrid(rng.random((4, 4, 2, 4)).argmax(-1)), config, None)
     ok &= lconfig == config
     ok &= np.array_equal(dn.forward(loaded, lconfig, x, 2),
                          dn.forward(params, config, x, 2))

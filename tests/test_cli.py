@@ -151,7 +151,14 @@ BAD_SETTINGS = [  # (command, --set values, what the error line names)
     ("train-diffusion", ["num_classes=4"], "unknown key 'num_classes'"),
     ("train-diffusion", ["w0=-1"], "w0"),
     ("train-vqvae", ["vq_beta_commit=-5"], "beta_commit"),
-    ("train-diffusion", ["seed=-1"], "'seed'")]
+    ("train-diffusion", ["seed=-1"], "'seed'"),
+    # RunConfig refuses these even where the command does not use the setting
+    ("train-baseline", ["w0=-1"], "'w0'"),
+    ("train-vqvae", ["w0=-1"], "'w0'"),
+    ("train-diffusion", ["vq_beta_commit=-5"], "'vq_beta_commit'"),
+    ("train-baseline", ["schedule=bogus"], "'bogus'"),
+    ("train-vqvae", ["schedule=bogus"], "'bogus'"),
+    ("train-baseline", ["num_steps=0"], "num_steps")]
 
 
 @pytest.mark.parametrize("command,settings,reason", BAD_SETTINGS,

@@ -4,10 +4,10 @@ import pytest
 from scenediff import denoiser as dn
 from scenediff import nn
 from scenediff.errors import CheckpointError, TrainingDiverged
-from scenediff.grids import VoxelGrid, one_hot
+from scenediff.grids import VoxelGrid
 from scenediff.schedule import UniformTransition, make_schedule
 
-from oracles import denoiser_fd
+from oracles import denoiser_fd, fd_worst
 
 SMALL = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7),
                           time_dim=8, time_hidden=10, num_steps=10)
@@ -17,10 +17,15 @@ def small_params(seed=1):
     return dn.init_params(SMALL, seed)
 
 
+def argmax_input(draw):
+    """SMALL's `build_input` of the labels a draw (X, Y, Z, K) makes hot: each voxel's argmax."""
+    return dn.build_input(VoxelGrid(draw.argmax(-1)), SMALL, None)
+
+
 def test_forward_shapes_and_purity():
     params = small_params()
     rng = np.random.default_rng(0)
-    x = rng.random((4, 4, 2, 3))
+    x = argmax_input(rng.random((4, 4, 2, 3)))
     a = dn.forward(params, SMALL, x, 3)
     b = dn.forward(params, SMALL, x, 3)
     assert a.shape == (4, 4, 2, 3)
@@ -29,7 +34,7 @@ def test_forward_shapes_and_purity():
 
 def test_time_embedding_is_effective():
     params = small_params()
-    x = np.random.default_rng(1).random((4, 4, 2, 3))
+    x = argmax_input(np.random.default_rng(1).random((4, 4, 2, 3)))
     a = dn.forward(params, SMALL, x, 1)
     b = dn.forward(params, SMALL, x, SMALL.num_steps)
     assert not np.allclose(a, b)
@@ -37,8 +42,9 @@ def test_time_embedding_is_effective():
 
 def test_forward_shape_mismatch():
     params = small_params()
-    with pytest.raises(ValueError):
-        dn.forward(params, SMALL, np.zeros((4, 4, 2, 5)), 1)
+    for x in (np.zeros((4, 4, 2, 5), dtype=int), np.zeros((4, 4, 2), dtype=int)):
+        with pytest.raises(ValueError):
+            dn.forward(params, SMALL, x, 1)
 
 
 def test_init_params_determinism_and_scale():
@@ -55,7 +61,7 @@ def test_init_params_determinism_and_scale():
 
 def test_zero_upstream_gives_zero_grads():
     params = small_params()
-    x = np.random.default_rng(2).random((3, 3, 2, 3))
+    x = argmax_input(np.random.default_rng(2).random((3, 3, 2, 3)))
     _, cache = dn.forward(params, SMALL, x, 2, with_cache=True)
     grads = dn.backward(params, SMALL, cache, np.zeros((3, 3, 2, 3)))
     assert all(np.all(g == 0) for g in grads.values())
@@ -63,7 +69,7 @@ def test_zero_upstream_gives_zero_grads():
 
 def test_bias_gradient_is_summed_upstream():
     params = small_params()
-    x = np.random.default_rng(3).random((3, 3, 2, 3))
+    x = argmax_input(np.random.default_rng(3).random((3, 3, 2, 3)))
     up = np.random.default_rng(4).normal(size=(3, 3, 2, 3))
     _, cache = dn.forward(params, SMALL, x, 2, with_cache=True)
     grads = dn.backward(params, SMALL, cache, up)
@@ -73,22 +79,23 @@ def test_bias_gradient_is_summed_upstream():
 def test_gradients_match_finite_differences():
     params = small_params()
     rng = np.random.default_rng(5)
-    x = rng.random((4, 4, 2, 3))
+    x = argmax_input(rng.random((4, 4, 2, 3)))
     up = rng.normal(size=(4, 4, 2, 3))
     # spot-check ~1/8 of the parameters here; the acceptance suite covers 100%
     assert denoiser_fd(params, SMALL, x, 4, up, 1e-4, subset=8) < 1e-4
 
 
 def test_finite_differences_judge_tiny_gradients_by_absolute_error():
-    # the input after criterion 05's: enc2_w[1, 0, 0, 0, 2] has gradient 7.6e-9,
-    # which a central difference at h = 1e-5 resolves only to ~4e-12 (rounding)
-    config = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7),
-                               time_dim=8, time_hidden=10, num_steps=10)
-    rng = np.random.default_rng(505)
-    rng.random((4, 4, 2, 3))
-    x = rng.random((4, 4, 2, 3))
-    up = rng.normal(size=(4, 4, 2, 3))
-    assert denoiser_fd(dn.init_params(config, 1), config, x, 4, up, 1e-5) < 1e-4
+    # f = 1 + g w with g = 7.6e-9: a central difference at h = 1e-5 resolves g
+    # only to ~6e-12 (rounding f), 8e-4 of g, so the floor judges it absolutely;
+    # a zero gradient still reads 3.4e-4
+    slope, w = 7.6e-9, {"w": np.array([0.3])}
+
+    def evaluate():
+        return 1.0 + slope * w["w"][0], []
+
+    assert fd_worst(w, {"w": np.array([slope])}, evaluate, 1e-5) < 1e-4
+    assert fd_worst(w, {"w": np.array([0.0])}, evaluate, 1e-5) > 1e-4
 
 
 # the first layer gathers weight rows when in_channels > hidden[0], else it
@@ -103,37 +110,34 @@ LABEL_CONFIGS = {
 }
 
 
-def label_and_dense_inputs(config, seed, dims=(4, 3, 2)):
-    """build_input's hot channel indices and the dense one-hot input they name."""
+def label_input(config, seed, dims=(4, 3, 2)):
+    """build_input's hot channel indices for a random x_t and, when conditioned,
+    a random condition."""
     rng = np.random.default_rng(seed)
     x_t = VoxelGrid(rng.integers(0, config.num_classes, size=dims))
-    dense = one_hot(x_t, config.num_classes).probs
-    condition = None
-    if config.conditioned:
-        condition = VoxelGrid(rng.integers(0, 2, size=dims))
-        dense = np.concatenate([dense, condition.labels[..., None].astype(np.float64)], axis=-1)
-    return dn.build_input(x_t, config, condition), dense
+    condition = VoxelGrid(rng.integers(0, 2, size=dims)) if config.conditioned else None
+    return dn.build_input(x_t, config, condition)
 
 
 @pytest.mark.parametrize("name", LABEL_CONFIGS)
-def test_label_input_gives_the_one_hot_logits_and_grads_bit_for_bit(name):
+def test_forward_takes_only_build_inputs_hot_channel_indices(name):
     config = LABEL_CONFIGS[name]
     params = dn.init_params(config, 2)
-    idx, dense = label_and_dense_inputs(config, 3)
-    assert np.issubdtype(idx.dtype, np.integer)
-    up = np.random.default_rng(4).normal(size=dense.shape[:3] + (config.num_classes,))
-    (la, ca), (lb, cb) = (dn.forward(params, config, x, 5, with_cache=True) for x in (idx, dense))
-    assert np.array_equal(la, lb)
-    ga, gb = dn.backward(params, config, ca, up), dn.backward(params, config, cb, up)
-    assert ga.keys() == gb.keys() == params.keys()
-    assert all(np.array_equal(ga[k], gb[k]) for k in ga)
+    idx = label_input(config, 3)
+    assert dn.forward(params, config, idx, 5).shape == idx.shape[:3] + (config.num_classes,)
+    below, above = idx.copy(), idx.copy()
+    below[0, 0, 0, 0], above[0, 0, 0, -1] = -1, config.in_channels + 1
+    three = np.repeat(idx[..., :1], 3, axis=-1)
+    for bad in (idx.astype(np.float64), below, above, three):
+        with pytest.raises(ValueError, match="hot channel indices"):
+            dn.forward(params, config, bad, 5)
 
 
 @pytest.mark.parametrize("name", ["unconditioned-gather", "conditioned-gather"])
 def test_label_path_gradients_match_finite_differences(name):
     config = LABEL_CONFIGS[name]
     params = dn.init_params(config, 1)
-    idx, _ = label_and_dense_inputs(config, 7)
+    idx = label_input(config, 7)
     up = np.random.default_rng(6).normal(size=idx.shape[:3] + (config.num_classes,))
     assert denoiser_fd(params, config, idx, 4, up, 1e-4, subset=8) < 1e-4
 
@@ -143,7 +147,7 @@ def test_finite_differences_refuse_a_step_across_a_relu_kink():
     # central difference does not measure the gradient
     config = LABEL_CONFIGS["conditioned-gather"]
     params = dn.init_params(config, 1)
-    idx, _ = label_and_dense_inputs(config, 5)
+    idx = label_input(config, 5)
     up = np.random.default_rng(6).normal(size=idx.shape[:3] + (config.num_classes,))
     with pytest.raises(AssertionError, match=r"enc1_b\[1\] \+- h moves a ReLU"):
         denoiser_fd(params, config, idx, 4, up, 1e-4, subset=8)
@@ -240,7 +244,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["schedule"] == "cosine"
     # init draws in float32, so the f32 container round-trips bit-exactly
     assert all(np.array_equal(loaded[k], params[k]) for k in params)
-    x = np.random.default_rng(6).random((4, 4, 2, 3))
+    x = argmax_input(np.random.default_rng(6).random((4, 4, 2, 3)))
     np.testing.assert_array_equal(dn.forward(loaded, SMALL, x, 2),
                                   dn.forward(params, SMALL, x, 2))
 

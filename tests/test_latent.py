@@ -97,11 +97,13 @@ def test_sample_latent_output_dims_scale_with_strides():
 
 def test_sample_latent_rejects_codebook_mismatch():
     vqr = make_vq()  # 6 codes
-    for k_model, k_trans in ((5, 6), (6, 5)):
-        trans = UniformTransition(k_trans, make_schedule("cosine", 3))
+    # the last case matches the codebook but has T = 5 transitions for a T = 3 model
+    for k_model, k_trans, steps, reason in ((5, 6, 3, "codebook"), (6, 5, 3, "codebook"),
+                                            (6, 6, 5, "T=5")):
+        trans = UniformTransition(k_trans, make_schedule("cosine", steps))
         config = lat.dn.DenoiserConfig(num_classes=k_model, in_channels=k_model,
                                        hidden=(4, 6), num_steps=3)
-        with pytest.raises(ValueError, match="codebook"):
+        with pytest.raises(ValueError, match=reason):
             lat.sample_latent(lat.dn.init_params(config, 0), config, vqr, (2, 2, 1), trans,
                               np.random.default_rng(0))
 
