@@ -153,18 +153,21 @@ def cmd_train_conditional(args, cfg, scenes, k):
 
 
 def _load_diffusion(path):
-    """(params, config, transition) of a diffusion denoiser checkpoint."""
+    """(params, config, transition, mode extra or None) of a diffusion denoiser checkpoint."""
     params, config, meta = dn.load_denoiser(path)
     if meta.get("mode") == "baseline":
         raise CheckpointError(f"{path} is an SSC baseline, not a diffusion model")
     trans = _transition(meta.get("schedule", "cosine"), config.num_classes, config.num_steps)
-    return params, config, trans
+    return params, config, trans, meta.get("mode")
 
 
 def cmd_sample(args):
     dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
     _at_least_one("--count", args.count)
-    params, config, trans = _load_diffusion(args.ckpt)
+    params, config, trans, mode = _load_diffusion(args.ckpt)
+    if mode is not None and (mode == "latent") != bool(args.vqvae):  # API files carry no mode
+        raise CheckpointError(f"{args.ckpt} has mode {mode}: a latent checkpoint needs --vqvae, "
+                              "and --vqvae needs a latent checkpoint")
     vq_result = vq.load_vqvae(args.vqvae) if args.vqvae else None
     table = toy_class_table(vq_result.config.num_classes if vq_result else config.num_classes)
     out = Path(args.out)
@@ -180,7 +183,7 @@ def cmd_sample(args):
 
 
 def cmd_complete(args):
-    params, config, trans = _load_diffusion(args.ckpt)
+    params, config, trans, _ = _load_diffusion(args.ckpt)
     condition, _ = load_scene(args.condition)
     rng = np.random.default_rng(args.seed)
     grid = ssc_mod.complete(params, config, trans, condition, rng)
@@ -204,7 +207,7 @@ def cmd_eval(args):
             methods["baseline"] = (
                 lambda task, rng, p=params, c=config: ssc_mod.baseline_predict(p, c, task.condition))
         elif name == "diffusion":
-            params, config, trans = _load_diffusion(ckpt)
+            params, config, trans, _ = _load_diffusion(ckpt)
             methods["diffusion"] = (
                 lambda task, rng, p=params, c=config, tr=trans:
                 ssc_mod.complete(p, c, tr, task.condition, rng))

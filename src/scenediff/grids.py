@@ -128,7 +128,7 @@ def sparsify(grid: VoxelGrid, rate: float, seed: int) -> VoxelGrid:
     """
     if not (0.0 < rate <= 1.0):
         raise ValueError("rate must be in (0, 1]")
-    occ = np.flatnonzero(grid.labels.reshape(-1) != 0)
+    occ = np.flatnonzero(grid.occupancy())
     keep = int(np.ceil(rate * occ.size))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(occ, size=keep, replace=False) if occ.size else occ

@@ -6,19 +6,14 @@ import numpy as np
 
 from . import denoiser as dn
 from .diffusion import sample_loop
-from .grids import CategoricalField, VoxelGrid, argmax_decode, label_dtype, one_hot
+from .grids import VoxelGrid
 from .schedule import UniformTransition
-from .vqvae import VQVAETrainResult, decode, encode, quantize
+from .vqvae import VQVAETrainResult, from_indices, to_indices
 
 
 def encode_dataset(vq: VQVAETrainResult, dataset) -> list[VoxelGrid]:
-    """Index grids for every scene via encode + quantize."""
-    out = []
-    for g in dataset:
-        z = encode(vq.params, vq.config, one_hot(g, vq.config.num_classes))
-        _, idx = quantize(vq.params["codes"], z)
-        out.append(VoxelGrid(idx.astype(label_dtype(vq.config.num_codes))))
-    return out
+    """The index grid of every scene."""
+    return [to_indices(vq.params, vq.config, g) for g in dataset]
 
 
 def train_latent_denoiser(dataset, vq: VQVAETrainResult, trans: UniformTransition,
@@ -30,23 +25,19 @@ def train_latent_denoiser(dataset, vq: VQVAETrainResult, trans: UniformTransitio
     config = dn.DenoiserConfig(num_classes=n, in_channels=n, hidden=hidden,
                                num_steps=trans.schedule.num_steps)
     dn.check_transitions(config, trans)
-    index_grids = encode_dataset(vq, dataset)
-    params, history = dn.fit_diffusion([(g, None) for g in index_grids], config, trans, seed,
-                                       epochs, batch_size, lr, w0, log)
+    pairs = [(g, None) for g in encode_dataset(vq, dataset)]
+    params, history = dn.fit_diffusion(pairs, config, trans, seed, epochs, batch_size, lr, w0, log)
     return params, config, history
 
 
 def sample_latent(latent_params: dict, latent_config: dn.DenoiserConfig,
                   vq: VQVAETrainResult, dims_latent: tuple[int, int, int],
                   trans: UniformTransition, rng: np.random.Generator) -> VoxelGrid:
-    """Sample an index grid, snap through the codebook, decode to voxels."""
+    """Sample an index grid and decode it to voxels."""
     n = vq.config.num_codes
     if latent_config.num_classes != n or trans.num_classes != n:
-        raise ValueError(
-            f"latent model has {latent_config.num_classes} classes and its transitions "
-            f"{trans.num_classes}, but the VQ-VAE codebook has {n} codes")
+        raise ValueError(f"latent model has {latent_config.num_classes} classes and its "
+                         f"transitions {trans.num_classes}, but the VQ-VAE codebook has {n} codes")
     dn.check_transitions(latent_config, trans)
     idx = sample_loop(dn.as_denoiser_fn(latent_params, latent_config), dims_latent, trans, rng)
-    zq = vq.params["codes"][idx.labels]
-    logits = decode(vq.params, vq.config, zq)
-    return argmax_decode(CategoricalField(logits))
+    return from_indices(vq.params, vq.config, idx)

@@ -79,6 +79,8 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
     r = Reader(Path(path).read_bytes(), SceneFormatError)
     r.header(MAGIC, VERSION)
     flags, x, y, z, k = r.unpack("<H3IH")
+    if min(x, y, z) < 1:
+        raise SceneFormatError(f"scene dims {x}x{y}x{z}: each must be at least 1")
     if k == 0:
         raise SceneFormatError("empty class table")
     rgb = r.unpack(f"{3 * k}B")
@@ -92,7 +94,7 @@ def load_scene(path) -> tuple[VoxelGrid, ClassTable]:
         if len(payload) != expected:
             raise SceneFormatError(f"payload holds {len(payload)} voxels, expected {expected}")
         flat = np.frombuffer(payload, dtype=np.uint8).copy()
-    if flat.size and flat.max() >= k:
+    if flat.max() >= k:  # the dims check leaves at least one voxel
         raise SceneFormatError("label out of range for class table")
     labels = flat.reshape((x, y, z), order="F")
     table = ClassTable(names, palette)
@@ -103,7 +105,7 @@ def export_ply(grid: VoxelGrid, table: ClassTable, path):
     """ASCII PLY point cloud: one colored vertex per occupied voxel center.
     Each axis's coordinate strings and each class's color are formatted once,
     gathered per voxel, and joined once."""
-    xs, ys, zs = np.nonzero(grid.labels != 0)
+    xs, ys, zs = np.nonzero(grid.occupancy())
     axes = [np.array([f"{i + 0.5} " for i in range(n)], dtype=object) for n in grid.dims]
     colors = np.array([f"{r} {g} {b}\n" for r, g, b in np.asarray(table.colors, dtype=np.int64)],
                       dtype=object)

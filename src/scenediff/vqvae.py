@@ -1,4 +1,4 @@
-"""Vector-quantized autoencoder over one-hot voxel fields.
+"""Vector-quantized autoencoder over label grids, and the scene <-> index codec.
 
 Encoder and decoder are non-overlapping strided ("patch") 3D convolutions,
 mirrored exactly, so the shape chain inverts for any configured strides. The
@@ -18,7 +18,7 @@ from . import nn
 from .checkpoint import load_model, save_model
 from .config import Triple, typed
 from .diffusion import weighted_cross_entropy
-from .grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
+from .grids import CategoricalField, VoxelGrid, argmax_decode, label_dtype, one_hot
 from .metrics import inverse_frequency_weights, report_from_pairs
 
 DEAD_CODE_THRESHOLD = 1  # codes used fewer times in an epoch are reset
@@ -63,14 +63,15 @@ def init_params(config: VQVAEConfig, seed: int) -> dict[str, np.ndarray]:
     return {name: init(name, shape) for name, shape in param_shapes(config).items()}
 
 
-def encode(params: dict, config: VQVAEConfig, x: CategoricalField, with_cache=False):
-    """Latent vectors (h, w, z, d) for a one-hot (or soft) input field."""
+def encode(params: dict, config: VQVAEConfig, grid: VoxelGrid, with_cache=False):
+    """Latent vectors (h, w, z, d) of a label grid; the cache holds its dense one-hot."""
     s1, s2 = config.strides
-    pre1 = nn.patch_conv(x.probs, params["enc1_w"], params["enc1_b"], s1)
+    x = one_hot(grid, config.num_classes).probs
+    pre1 = nn.patch_conv(x, params["enc1_w"], params["enc1_b"], s1)
     a1 = nn.relu(pre1)
     z = nn.patch_conv(a1, params["enc2_w"], params["enc2_b"], s2)
     if with_cache:
-        return z, dict(x=x.probs, pre1=pre1, a1=a1)
+        return z, dict(x=x, pre1=pre1, a1=a1)
     return z
 
 
@@ -97,18 +98,17 @@ def decode(params: dict, config: VQVAEConfig, zq: np.ndarray, with_cache=False):
     return logits
 
 
-def vqvae_loss(x: CategoricalField, recon_logits: np.ndarray, z: np.ndarray,
+def vqvae_loss(x: np.ndarray, recon_logits: np.ndarray, z: np.ndarray,
                zq: np.ndarray, weights: np.ndarray, beta_commit: float):
     """(total, recon, codebook_term, commit_term, dlogits).
 
-    recon is the class-weighted cross-entropy, averaged over voxels, and dlogits
-    its gradient, which `vqvae_grads` takes; the two quantization terms are the
-    mean squared latent error, which play the roles of the stopped-gradient
-    codebook and commitment penalties during training.
+    recon is the class-weighted cross-entropy against the dense one-hot x, averaged
+    over voxels, and dlogits its gradient, for `vqvae_grads`; the two quantization
+    terms are the mean squared latent error, as stopped-gradient penalties.
     """
-    if recon_logits.shape != x.probs.shape:
+    if recon_logits.shape != x.shape:
         raise ValueError("reconstruction shape mismatch")
-    recon, dlogits = weighted_cross_entropy(recon_logits, x.probs, weights)
+    recon, dlogits = weighted_cross_entropy(recon_logits, x, weights)
     msq = float(np.mean(((z - zq) ** 2).sum(axis=-1)))
     return recon + msq + beta_commit * msq, recon, msq, beta_commit * msq, dlogits
 
@@ -168,12 +168,20 @@ class VQVAETrainResult:
     history: list = field(default_factory=list)  # per-epoch MetricsReport
 
 
+def to_indices(params: dict, config: VQVAEConfig, grid: VoxelGrid) -> VoxelGrid:
+    """The codec's encoder: the grid of each latent vector's nearest code index."""
+    _, idx = quantize(params["codes"], encode(params, config, grid))
+    return VoxelGrid(idx.astype(label_dtype(config.num_codes)))
+
+
+def from_indices(params: dict, config: VQVAEConfig, idx: VoxelGrid) -> VoxelGrid:
+    """The codec's decoder: the scene of argmax classes that an index grid decodes to."""
+    zq = params["codes"][idx.checked_labels(config.num_codes)]
+    return argmax_decode(CategoricalField(decode(params, config, zq)))
+
+
 def reconstruct(params: dict, config: VQVAEConfig, grid: VoxelGrid) -> VoxelGrid:
-    x = one_hot(grid, config.num_classes)
-    z = encode(params, config, x)
-    zq, _ = quantize(params["codes"], z)
-    logits = decode(params, config, zq)
-    return argmax_decode(CategoricalField(logits))
+    return from_indices(params, config, to_indices(params, config, grid))
 
 
 def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
@@ -189,11 +197,10 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
     reports = []
 
     def loss_and_grads(params, g):
-        x = one_hot(g, config.num_classes)
-        z, enc_cache = encode(params, config, x, with_cache=True)
+        z, enc_cache = encode(params, config, g, with_cache=True)
         zq, idx = quantize(params["codes"], z)
         logits, dec_cache = decode(params, config, zq, with_cache=True)
-        total, *_, dlogits = vqvae_loss(x, logits, z, zq, weights, config.beta_commit)
+        total, *_, dlogits = vqvae_loss(enc_cache["x"], logits, z, zq, weights, config.beta_commit)
         usage[:] += np.bincount(idx.reshape(-1), minlength=config.num_codes)
         buffer.append(z.reshape(-1, config.code_dim))
         grads = vqvae_grads(params, config, dlogits, enc_cache, dec_cache, z, zq, idx)

@@ -101,21 +101,22 @@ def denoiser_fd(params: dict, config: dn.DenoiserConfig, x: np.ndarray, t: int,
     return fd_worst(params, grads, evaluate, h, subset)
 
 
-def vqvae_fd(params: dict, config: vq.VQVAEConfig, x: CategoricalField, weights: np.ndarray,
+def vqvae_fd(params: dict, config: vq.VQVAEConfig, grid: VoxelGrid, weights: np.ndarray,
              h: float, subset: int = 1) -> float:
     """`fd_worst` of the VQ-VAE's straight-through gradients. The surrogate loss
     freezes the code assignment and stop-gradients at the base point, which is
     exactly what the straight-through rule assumes locally: the decoder sees
     z + (zq - z) with the offset held constant, the codebook term sees a
     constant z, the commitment term a constant zq."""
-    z0, enc_cache = vq.encode(params, config, x, with_cache=True)
+    z0, enc_cache = vq.encode(params, config, grid, with_cache=True)
+    x = enc_cache["x"]
     zq0, idx = vq.quantize(params["codes"], z0)
     logits, dec_cache = vq.decode(params, config, zq0, with_cache=True)
     *_, dlogits = vq.vqvae_loss(x, logits, z0, zq0, weights, config.beta_commit)
     grads = vq.vqvae_grads(params, config, dlogits, enc_cache, dec_cache, z0, zq0, idx)
 
     def evaluate():
-        z, enc = vq.encode(params, config, x, with_cache=True)
+        z, enc = vq.encode(params, config, grid, with_cache=True)
         logits, dec = vq.decode(params, config, z + (zq0 - z0), with_cache=True)
         _, recon, *_ = vq.vqvae_loss(x, logits, z, z, weights, 0.0)
         npos = int(np.prod(z.shape[:3]))

@@ -128,7 +128,7 @@ def test_criterion_05_gradient_fidelity():
                              strides=((2, 2, 1), (2, 2, 2)))
     vparams = vq.init_params(vconfig, 2)
     g = VoxelGrid(rng.integers(0, 3, size=(4, 4, 2)))
-    worst_vq = vqvae_fd(vparams, vconfig, one_hot(g, 3), np.linspace(0.5, 1.5, 3), h)
+    worst_vq = vqvae_fd(vparams, vconfig, g, np.linspace(0.5, 1.5, 3), h)
 
     elapsed = time.time() - t0
     ok = worst_dn < 1e-4 and worst_vq < 1e-3 and elapsed < 120

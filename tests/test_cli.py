@@ -246,6 +246,22 @@ def test_export_empty_scene(tmp_path):
     assert len(list(slices.glob("*.ppm"))) == 2
 
 
+def test_scene_with_a_zero_dim_prints_one_error_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / "zero.vxsc"
+    save_scene(VoxelGrid(np.zeros((1, 8, 4), dtype=int)), toy_class_table(3), path, rle=False)
+    raw = bytearray(path.read_bytes()[:-32])  # no payload left
+    struct.pack_into("<I", raw, 8, 0)  # the first of the three u32 dims
+    path.write_bytes(bytes(raw))
+    for argv in (["export", "--scene", str(path), "--format", "ply"],
+                 ["train-diffusion", "--data", str(data)]):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert _one_error_line(out) and "scene dims 0x8x4" in out
+    assert not (tmp_path / "out").exists()
+
+
 def test_end_to_end_pipeline(tmp_path):
     data = tmp_path / "data"
     assert run(["gen-data", "--out", str(data), "--scenes", "6",
@@ -359,6 +375,29 @@ def test_sample_rejects_latent_codebook_mismatch(tmp_path, capsys):
     assert out.startswith("error: ") and len(out.splitlines()) == 1
     assert "codebook" in out
     assert not (tmp_path / "s").exists()
+
+
+def test_sample_checks_the_mode_extra_against_vqvae(tmp_path, capsys):
+    # K = N = 4, so only the mode tells an index model from a voxel model
+    paths = write_valid_models(tmp_path)
+    config = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(3, 4), num_steps=3)
+    params = dn.init_params(config, 0)
+    vq_flag = ["--vqvae", str(paths["vqvae"])]
+    for mode, flags in (("latent", []), ("unconditional", vq_flag), ("conditional", vq_flag)):
+        ckpt = tmp_path / f"{mode}.vxdn"
+        dn.save_denoiser(ckpt, params, config, extra={"mode": mode})
+        assert run(["sample", "--ckpt", str(ckpt), "--dims", "2x2x2",
+                    "--out", str(tmp_path / "s")] + flags) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and len(out.splitlines()) == 1
+        assert "--vqvae" in out
+        assert not (tmp_path / "s").exists()
+    # a latent file with its VQ-VAE, and an API file with or without one, still sample
+    for name, flags in (("latent", vq_flag), ("denoiser", []), ("denoiser", vq_flag)):
+        out = tmp_path / f"s_{name}_{len(flags)}"
+        assert run(["sample", "--ckpt", str(tmp_path / f"{name}.vxdn"), "--dims", "2x2x2",
+                    "--out", str(out)] + flags) == 0
+        assert load_scene(out / "sample_0000.vxsc")[0].dims == ((8, 8, 4) if flags else (2, 2, 2))
 
 
 def test_malformed_checkpoint_prints_one_error_line(malformed_checkpoint, tmp_path, capsys):

@@ -61,6 +61,7 @@ def test_index_grids_at_the_full_codebook_are_uint16():
     data = generate_toy_dataset(ToySceneParams(dims=(8, 8, 4), num_classes=4), 2, 1)
     for grid in lat.encode_dataset(vqr, data):
         assert grid.labels.dtype == np.uint16
+    assert vq.to_indices(vqr.params, config, data[0]).labels.dtype == np.uint16
 
     field = CategoricalField(np.random.default_rng(1).random((2, 2, 1, NUM_CODES)))
     assert argmax_decode(field).labels.dtype == np.uint16

@@ -27,7 +27,7 @@ def test_encode_dataset_shapes_and_agreement():
     for g, scene in zip(grids, data):
         assert g.dims == (2, 2, 2)
         assert g.labels.max() < vqr.config.num_codes
-        z = vq.encode(vqr.params, vqr.config, one_hot(scene, 4))
+        z = vq.encode(vqr.params, vqr.config, scene)
         _, idx = vq.quantize(vqr.params["codes"], z)
         assert np.array_equal(g.labels, idx)
 

@@ -129,6 +129,18 @@ def test_empty_class_table_is_a_format_error(tmp_path):
         load_scene(path)
 
 
+@pytest.mark.parametrize("rle", [False, True], ids=["raw", "rle"])
+@pytest.mark.parametrize("dims", [(0, 8, 4), (1, 0, 4), (1, 8, 0), (0, 0, 0)])
+def test_zero_dim_is_a_format_error(tmp_path, rle, dims):
+    # an empty payload holds exactly the zero voxels such dims declare
+    path = tmp_path / "x.vxsc"
+    path.write_bytes(b"VXSC" + struct.pack("<HH3IH", 1, int(rle), *dims, 2)
+                     + bytes(6) + struct.pack("<HH", 0, 0))
+    with pytest.raises(SceneFormatError, match="scene dims {}x{}x{}: each must be at least 1"
+                       .format(*dims)):
+        load_scene(path)
+
+
 def test_non_utf8_class_name_is_a_format_error(tmp_path):
     path = tmp_path / "x.vxsc"
     save_scene(VoxelGrid(np.zeros((1, 1, 1), dtype=int)), toy_class_table(2), path)

@@ -3,7 +3,7 @@ import pytest
 
 from scenediff import vqvae as vq
 from scenediff.errors import CheckpointError
-from scenediff.grids import CategoricalField, VoxelGrid, one_hot
+from scenediff.grids import CategoricalField, VoxelGrid, argmax_decode, one_hot
 from scenediff.metrics import inverse_frequency_weights
 from scenediff.toydata import ToySceneParams, generate_toy_dataset
 
@@ -42,7 +42,7 @@ def test_quantize_exact_match_and_ties():
 def test_shape_chain_small_and_large():
     params = vq.init_params(SMALL, 0)
     g = VoxelGrid(np.zeros((16, 16, 4), dtype=int))
-    z = vq.encode(params, SMALL, one_hot(g, 4))
+    z = vq.encode(params, SMALL, g)
     assert z.shape == (4, 4, 2, 3)
     zq, idx = vq.quantize(params["codes"], z)
     logits = vq.decode(params, SMALL, zq)
@@ -54,16 +54,41 @@ def test_shape_chain_small_and_large():
                          strides=((2, 2, 2), (2, 2, 2)))
     assert tuple(np.prod(big.strides, axis=0)) == (4, 4, 4)
     params = vq.init_params(big, 0)
-    z = vq.encode(params, big, one_hot(VoxelGrid(np.zeros((128, 128, 8), dtype=int)), 11))
+    z = vq.encode(params, big, VoxelGrid(np.zeros((128, 128, 8), dtype=int)))
     assert z.shape == (32, 32, 2, 2)
     assert vq.decode(params, big, z).shape == (128, 128, 8, 11)
+
+
+def test_codec_round_trip_is_the_reconstruction_bit_for_bit():
+    params = vq.init_params(SMALL, 5)
+    rng = np.random.default_rng(7)
+    for dims in ((8, 8, 2), (16, 12, 4)):
+        g = VoxelGrid(rng.integers(0, 4, size=dims).astype(np.uint8))
+        # the reconstruction spelled out layer by layer: encode, quantize, decode, argmax
+        z = vq.encode(params, SMALL, g)
+        zq, idx = vq.quantize(params["codes"], z)
+        expected = argmax_decode(CategoricalField(vq.decode(params, SMALL, zq)))
+        codes = vq.to_indices(params, SMALL, g)
+        assert np.array_equal(codes.labels, idx)
+        assert vq.from_indices(params, SMALL, codes) == expected
+        assert vq.reconstruct(params, SMALL, g) == expected
+
+
+def test_codec_rejects_out_of_range_labels():
+    params = vq.init_params(SMALL, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        vq.encode(params, SMALL, VoxelGrid(np.full((4, 4, 2), 4)))  # K = 4
+    idx = np.zeros((1, 1, 1), dtype=np.uint16)
+    assert vq.from_indices(params, SMALL, VoxelGrid(idx + 7)).dims == (4, 4, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        vq.from_indices(params, SMALL, VoxelGrid(idx + 8))  # N = 8
 
 
 def test_loss_zero_cases():
     w = np.ones(3)
     g = VoxelGrid(np.arange(8).reshape(2, 2, 2) % 3)
-    x = one_hot(g, 3)
-    perfect = np.log(x.probs + 1e-12) * 30  # sharpen toward one-hot
+    x = one_hot(g, 3).probs
+    perfect = np.log(x + 1e-12) * 30  # sharpen toward one-hot
     z = np.random.default_rng(1).normal(size=(1, 1, 1, 2))
     total, recon, code, commit, _ = vq.vqvae_loss(x, perfect, z, z.copy(), w, 0.25)
     assert recon < 1e-6
@@ -81,7 +106,7 @@ def test_straight_through_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     params = vq.init_params(SMALL, 3)
     g = VoxelGrid(rng.integers(0, 4, size=(8, 8, 2)))
-    assert vqvae_fd(params, SMALL, one_hot(g, 4), np.linspace(0.5, 1.5, 4), 1e-5, subset=7) < 1e-3
+    assert vqvae_fd(params, SMALL, g, np.linspace(0.5, 1.5, 4), 1e-5, subset=7) < 1e-3
 
 
 def test_reinit_dead_codes():
@@ -141,8 +166,8 @@ def test_logged_loss_is_the_epoch_mean():
     weights = inverse_frequency_weights(data, 4)
     losses = []
     for g in data:
-        x = one_hot(g, 4)
-        z = vq.encode(params, config, x)
+        x = one_hot(g, 4).probs
+        z = vq.encode(params, config, g)
         zq, _ = vq.quantize(params["codes"], z)
         losses.append(vq.vqvae_loss(x, vq.decode(params, config, zq), z, zq, weights,
                                     config.beta_commit)[0])
