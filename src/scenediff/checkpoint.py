@@ -9,7 +9,7 @@ Layout (little-endian):
 A model file (`save_model`/`load_model`) holds these metadata keys:
     kind    the model kind, "denoiser" or "vqvae"
     config  the model's config dataclass as one JSON object
-    ...     free string extras (e.g. a diffusion model's schedule and w0)
+    ...     string extras (the CLI's `mode`, and a diffusion model's `schedule`)
 and exactly the arrays, by name and shape, that its config implies. Files
 written before configs were stored as JSON have no `config` key and are
 rejected; retrain them. `load_checkpoint` reads only through `binfile.Reader`,
@@ -36,6 +36,11 @@ VERSION = 1
 
 @np.errstate(over="ignore")  # a float32 overflow gives inf, which is refused below
 def save_checkpoint(path, params: dict[str, np.ndarray], metadata: dict[str, str]):
+    for k, v in metadata.items():
+        line = f"{k}={v}"
+        if "=" in k or line.splitlines() != [line]:  # it would not read back as one key=value
+            raise CheckpointError(f"metadata {k!r}={v!r} would not read back (an '=' in the "
+                                  "key, or a line break); not saved")
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<H", VERSION)

@@ -95,9 +95,9 @@ def _denoiser_config(cfg, k: int, in_channels: int) -> dn.DenoiserConfig:
                              hidden=cfg.hidden, num_steps=cfg.num_steps)
 
 
-def _denoiser_saver(params, config, cfg, **extra):
-    """Saver for a diffusion denoiser; records its schedule and w0."""
-    extra = dict(schedule=cfg.schedule, w0=cfg.w0, **extra)
+def _saver(params, config, mode, schedule=None):
+    """Saver for a trained denoiser: its `mode` extra, and a diffusion model's schedule."""
+    extra = {"mode": mode} if schedule is None else {"mode": mode, "schedule": schedule}
     return lambda path: dn.save_denoiser(path, params, config, extra=extra)
 
 
@@ -107,7 +107,7 @@ def cmd_train_diffusion(args, cfg, scenes, k):
     trans = _transition(cfg.schedule, k, cfg.num_steps)
     params, _ = dn.train_diffusion(scenes, config, trans, cfg.seed, epochs=cfg.epochs,
                                    batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0, log=print)
-    return _denoiser_saver(params, config, cfg, epochs=cfg.epochs, mode="unconditional")
+    return _saver(params, config, "unconditional", cfg.schedule)
 
 
 @_trainer
@@ -117,7 +117,7 @@ def cmd_train_vqvae(args, cfg, scenes, k):
                             strides=cfg.vq_strides, beta_commit=cfg.vq_beta_commit)
     result = vq.train_vqvae(scenes, config, cfg.seed, epochs=cfg.epochs,
                             batch_size=cfg.batch_size, lr=cfg.lr, log=print)
-    return lambda path: vq.save_vqvae(path, result, extra={"epochs": cfg.epochs})
+    return lambda path: vq.save_vqvae(path, result)
 
 
 @_trainer
@@ -127,7 +127,7 @@ def cmd_train_latent(args, cfg, scenes, k):
     params, config, _ = lat.train_latent_denoiser(
         scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
         lr=cfg.lr, w0=cfg.w0, hidden=cfg.hidden, log=print)
-    return _denoiser_saver(params, config, cfg, mode="latent")
+    return _saver(params, config, "latent", cfg.schedule)
 
 
 @_trainer
@@ -136,8 +136,7 @@ def cmd_train_baseline(args, cfg, scenes, k):
     config = _denoiser_config(cfg, k, k + 1)
     params, _ = ssc_mod.train_baseline(tasks, config, cfg.seed, epochs=cfg.epochs,
                                        batch_size=cfg.batch_size, lr=cfg.lr, log=print)
-    extra = {"mode": "baseline", "sparsity_rate": cfg.sparsity_rate}
-    return lambda path: dn.save_denoiser(path, params, config, extra=extra)
+    return _saver(params, config, "baseline")
 
 
 @_trainer
@@ -148,26 +147,24 @@ def cmd_train_conditional(args, cfg, scenes, k):
     params, _ = ssc_mod.train_conditional(tasks, config, trans, cfg.seed, epochs=cfg.epochs,
                                           batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
                                           log=print)
-    return _denoiser_saver(params, config, cfg, mode="conditional",
-                           sparsity_rate=cfg.sparsity_rate)
+    return _saver(params, config, "conditional", cfg.schedule)
 
 
-def _load_diffusion(path):
-    """(params, config, transition, mode extra or None) of a diffusion denoiser checkpoint."""
+def _load(path, mode, reader):
+    """(params, config, transition) of a denoiser file for `reader`, which takes only
+    `mode`. A file saved through the API carries no mode extra and passes."""
     params, config, meta = dn.load_denoiser(path)
-    if meta.get("mode") == "baseline":
-        raise CheckpointError(f"{path} is an SSC baseline, not a diffusion model")
+    if meta.get("mode", mode) != mode:
+        raise CheckpointError(f"{path} has mode {meta['mode']}; {reader} takes mode {mode}")
     trans = _transition(meta.get("schedule", "cosine"), config.num_classes, config.num_steps)
-    return params, config, trans, meta.get("mode")
+    return params, config, trans
 
 
 def cmd_sample(args):
     dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
     _at_least_one("--count", args.count)
-    params, config, trans, mode = _load_diffusion(args.ckpt)
-    if mode is not None and (mode == "latent") != bool(args.vqvae):  # API files carry no mode
-        raise CheckpointError(f"{args.ckpt} has mode {mode}: a latent checkpoint needs --vqvae, "
-                              "and --vqvae needs a latent checkpoint")
+    params, config, trans = (_load(args.ckpt, "latent", "sample with --vqvae") if args.vqvae
+                             else _load(args.ckpt, "unconditional", "sample without --vqvae"))
     vq_result = vq.load_vqvae(args.vqvae) if args.vqvae else None
     table = toy_class_table(vq_result.config.num_classes if vq_result else config.num_classes)
     out = Path(args.out)
@@ -183,7 +180,7 @@ def cmd_sample(args):
 
 
 def cmd_complete(args):
-    params, config, trans, _ = _load_diffusion(args.ckpt)
+    params, config, trans = _load(args.ckpt, "conditional", "complete")
     condition, _ = load_scene(args.condition)
     rng = np.random.default_rng(args.seed)
     grid = ssc_mod.complete(params, config, trans, condition, rng)
@@ -195,24 +192,24 @@ def cmd_eval(args):
     scenes, table = _load_dataset(args.data)
     tasks = ssc_mod.build_tasks(scenes, args.rate, args.seed)
     methods = {}
-    for spec_item in args.methods.split(","):
-        name, _, ckpt = spec_item.partition("=")
-        name = name.strip()
+    for item in args.methods.split(","):
+        name, eq, ckpt = (part.strip() for part in item.partition("="))
+        if name not in ("majority", "baseline", "diffusion"):
+            raise ConfigError(f"unknown method {name!r}")
+        if name in methods or (eq if name == "majority" else not ckpt):
+            raise ConfigError(f"bad --methods item {item.strip()!r}: name each method once, "
+                              "as majority, baseline=CKPT or diffusion=CKPT")
         if name == "majority":
-            methods["majority"] = ssc_mod.majority_class_predictor(scenes)
+            methods[name] = ssc_mod.majority_class_predictor(scenes)
         elif name == "baseline":
-            params, config, meta = dn.load_denoiser(ckpt)
-            if meta.get("mode", "baseline") != "baseline":
-                raise CheckpointError(f"{ckpt} is not an SSC baseline (mode {meta['mode']})")
-            methods["baseline"] = (
+            params, config, _ = _load(ckpt, "baseline", "eval baseline=")
+            methods[name] = (
                 lambda task, rng, p=params, c=config: ssc_mod.baseline_predict(p, c, task.condition))
-        elif name == "diffusion":
-            params, config, trans, _ = _load_diffusion(ckpt)
-            methods["diffusion"] = (
+        else:
+            params, config, trans = _load(ckpt, "conditional", "eval diffusion=")
+            methods[name] = (
                 lambda task, rng, p=params, c=config, tr=trans:
                 ssc_mod.complete(p, c, tr, task.condition, rng))
-        else:
-            raise ConfigError(f"unknown method {name!r}")
     result = ssc_mod.evaluate(methods, tasks, table, seed=args.seed)
     text = result.as_text()
     print(text)
@@ -282,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="compare completion methods")
     e.add_argument("--methods", required=True,
-                   help="comma list: majority, baseline=CKPT, diffusion=CKPT")
+                   help="comma list, each method once: majority, baseline=CKPT, diffusion=CKPT")
     e.add_argument("--data", required=True)
     e.add_argument("--rate", type=float, default=0.1)
     e.add_argument("--seed", type=int, default=0)

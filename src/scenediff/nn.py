@@ -306,9 +306,9 @@ def fit(params: dict, loss_and_grads, data, rng: np.random.Generator, epochs: in
     returns (params', text appended to the log line). Returns (params, history),
     the history holding each epoch's mean of the batch-mean losses.
     """
-    if epochs < 1 or batch_size < 1 or not 0 <= lr < math.inf:
-        raise ValueError(f"need epochs, batch_size >= 1 and 0 <= lr < inf; got {epochs}, "
-                         f"{batch_size}, {lr}")
+    if len(data) < 1 or epochs < 1 or batch_size < 1 or not 0 <= lr < math.inf:
+        raise ValueError(f"need a non-empty dataset, epochs, batch_size >= 1 and 0 <= lr < inf; "
+                         f"got {len(data)} examples, {epochs}, {batch_size}, {lr}")
     opt = AdamState()
     history = []
     for epoch in range(epochs):

@@ -187,8 +187,6 @@ def reconstruct(params: dict, config: VQVAEConfig, grid: VoxelGrid) -> VoxelGrid
 def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
                 batch_size: int = 8, lr: float = 1e-3, log=None) -> VQVAETrainResult:
     """End-to-end VQ-VAE training; reports reconstruction IoU/mIoU per epoch."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     weights = inverse_frequency_weights(dataset, config.num_classes)
     eval_scenes = dataset[:METRICS_SUBSET]
@@ -220,9 +218,9 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
     return VQVAETrainResult(params, config, weights, reports)
 
 
-def save_vqvae(path, result: VQVAETrainResult, extra: dict | None = None):
+def save_vqvae(path, result: VQVAETrainResult):
     params = dict(result.params, class_weights=result.weights)
-    save_model(path, "vqvae", params, result.config, extra)
+    save_model(path, "vqvae", params, result.config)
 
 
 def load_vqvae(path) -> VQVAETrainResult:

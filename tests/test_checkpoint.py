@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -77,4 +78,14 @@ def test_save_refuses_arrays_not_finite_in_float32(tmp_path, bad):
     path = tmp_path / "x.vxdn"
     with pytest.raises(CheckpointError, match="'w'"):
         save_checkpoint(path, {"b": np.ones(2), "w": np.array([1.0, bad])}, {})
+    assert not path.exists()
+
+
+# an '=' in a key, or any line break `str.splitlines` knows, would load back as other keys
+@pytest.mark.parametrize("key,value", [("note", "a\nb=c"), ("k=x", "v"), ("k\ny", "v"),
+                                       ("note", "ends\n"), ("note", "a\rb"), ("note", "a\u2028b")])
+def test_save_refuses_metadata_that_would_not_read_back(tmp_path, key, value):
+    path = tmp_path / "x.vxdn"
+    with pytest.raises(CheckpointError, match=re.escape(repr(key))):
+        save_checkpoint(path, {"w": np.ones(2)}, {"kind": "denoiser", key: value})
     assert not path.exists()

@@ -13,6 +13,7 @@ import scenediff
 from conftest import write_valid_models
 from scenediff import denoiser as dn
 from scenediff import vqvae as vq
+from scenediff.checkpoint import load_checkpoint
 from scenediff.cli import main
 from scenediff.config import RunConfig, Triple, convert, load_run_config, parse_config_text
 from scenediff.errors import ConfigError
@@ -218,18 +219,37 @@ def test_count_below_one_prints_one_error_line(tmp_path, capsys, command, flag, 
 def test_eval_checks_the_mode_extra(tiny_data, tmp_path, capsys):
     config = dn.DenoiserConfig(num_classes=4, in_channels=5, hidden=(3, 4), num_steps=3)
     params = dn.init_params(config, 0)
-    for mode, method in (("baseline", "diffusion"), ("conditional", "baseline")):
+    for mode, method in (("baseline", "diffusion"), ("conditional", "baseline"),
+                         ("unconditional", "diffusion"), ("latent", "diffusion")):
         path = tmp_path / f"{mode}.vxdn"
         dn.save_denoiser(path, params, config, extra={"mode": mode})
         assert run(["eval", "--methods", f"{method}={path}", "--data", str(tiny_data),
                     "--out", str(tmp_path / "e")]) == 1
         text = capsys.readouterr().out
         assert text.startswith("error: ") and len(text.splitlines()) == 1
-    # a file written through the API has no mode extra and loads as either
+        assert f"mode {mode}" in text and f"eval {method}=" in text
+        assert not list(tmp_path.glob("e.*"))
+    # a file written through the API has no mode extra and loads as either; each
+    # item and its path are stripped
     path = tmp_path / "api.vxdn"
     dn.save_denoiser(path, params, config)
-    assert run(["eval", "--methods", f"baseline={path},diffusion={path}",
+    assert run(["eval", "--methods", f" majority , baseline = {path} ,diffusion= {path} ",
                 "--data", str(tiny_data), "--out", str(tmp_path / "e")]) == 0
+
+
+@pytest.mark.parametrize("mode", ["unconditional", "latent", "baseline"])
+def test_complete_checks_the_mode_extra(tmp_path, capsys, mode):
+    config = dn.DenoiserConfig(num_classes=4, in_channels=5, hidden=(3, 4), num_steps=3)
+    ckpt = tmp_path / f"{mode}.vxdn"
+    dn.save_denoiser(ckpt, dn.init_params(config, 0), config, extra={"mode": mode})
+    condition = tmp_path / "cond.vxsc"
+    save_scene(VoxelGrid(np.zeros((8, 8, 4), dtype=int)), toy_class_table(4), condition)
+    assert run(["complete", "--ckpt", str(ckpt), "--condition", str(condition),
+                "--out", str(tmp_path / "done.vxsc")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and len(out.splitlines()) == 1
+    assert f"mode {mode}" in out and "complete takes mode conditional" in out
+    assert not (tmp_path / "done.vxsc").exists()
 
 
 def test_export_empty_scene(tmp_path):
@@ -297,6 +317,13 @@ def test_end_to_end_pipeline(tmp_path):
     assert run(["train-baseline", "--data", str(data), "--out", str(base_ckpt)]
                + common) == 0
 
+    # each file keeps only the extras something reads
+    diffusion_keys = {"kind", "config", "mode", "schedule"}
+    for path, keys in ((ckpt, diffusion_keys), (lat_ckpt, diffusion_keys),
+                       (cond_ckpt, diffusion_keys), (base_ckpt, {"kind", "config", "mode"}),
+                       (vq_ckpt, {"kind", "config"})):
+        assert load_checkpoint(path)[1].keys() == keys, path.name
+
     # completion needs a condition scene on disk
     scene, table = load_scene(data / "scene_0000.vxsc")
     from scenediff.grids import sparsify
@@ -327,13 +354,24 @@ def test_end_to_end_pipeline(tmp_path):
         assert miou == pytest.approx(np.mean(per_class), abs=1e-5)
 
 
-def test_eval_rejects_unknown_method(tmp_path, capsys):
+@pytest.mark.parametrize("methods,expected", [
+    ("psychic", "unknown method 'psychic'"),
+    ("baseline", "'baseline'"),
+    ("diffusion= ", "'diffusion='"),
+    ("majority=X", "'majority=X'"),
+    ("majority,majority", "'majority'"),
+])
+def test_eval_rejects_unknown_method(tmp_path, capsys, methods, expected):
     data = tmp_path / "data"
     run(["gen-data", "--out", str(data), "--scenes", "1", "--dims", "8x8x4",
          "--classes", "4"])
-    assert run(["eval", "--methods", "psychic", "--data", str(data),
+    capsys.readouterr()
+    assert run(["eval", "--methods", methods, "--data", str(data),
                 "--out", str(tmp_path / "e")]) == 1
-    assert "unknown method" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and len(out.splitlines()) == 1
+    assert expected in out
+    assert not list(tmp_path.glob("e.*"))
 
 
 def test_sample_rejects_truncated_checkpoint(tmp_path, capsys):
@@ -383,14 +421,15 @@ def test_sample_checks_the_mode_extra_against_vqvae(tmp_path, capsys):
     config = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(3, 4), num_steps=3)
     params = dn.init_params(config, 0)
     vq_flag = ["--vqvae", str(paths["vqvae"])]
-    for mode, flags in (("latent", []), ("unconditional", vq_flag), ("conditional", vq_flag)):
+    for mode, flags in (("latent", []), ("unconditional", vq_flag), ("conditional", vq_flag),
+                        ("conditional", [])):
         ckpt = tmp_path / f"{mode}.vxdn"
         dn.save_denoiser(ckpt, params, config, extra={"mode": mode})
         assert run(["sample", "--ckpt", str(ckpt), "--dims", "2x2x2",
                     "--out", str(tmp_path / "s")] + flags) == 1
         out = capsys.readouterr().out
         assert out.startswith("error: ") and len(out.splitlines()) == 1
-        assert "--vqvae" in out
+        assert "--vqvae" in out and f"mode {mode}" in out
         assert not (tmp_path / "s").exists()
     # a latent file with its VQ-VAE, and an API file with or without one, still sample
     for name, flags in (("latent", vq_flag), ("denoiser", []), ("denoiser", vq_flag)):

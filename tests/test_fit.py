@@ -29,17 +29,17 @@ def _vq_result():
     return vq.VQVAETrainResult(vq.init_params(VQ_CONFIG, 0), VQ_CONFIG, np.ones(4))
 
 
-# name -> (module whose init_params the trainer calls, the training call)
+# name -> (module whose init_params the trainer calls, the training call on scenes)
 TRAINERS = {
-    "diffusion": (dn, lambda: dn.train_diffusion(DATA, _config(4), TRANS, 0, epochs=1)),
-    "latent": (dn, lambda: lat.train_latent_denoiser(
-        DATA, _vq_result(), UniformTransition(6, make_schedule("cosine", 5)), 0,
+    "diffusion": (dn, lambda data=DATA: dn.train_diffusion(data, _config(4), TRANS, 0, epochs=1)),
+    "latent": (dn, lambda data=DATA: lat.train_latent_denoiser(
+        data, _vq_result(), UniformTransition(6, make_schedule("cosine", 5)), 0,
         epochs=1, hidden=(3, 4))),
-    "conditional": (dn, lambda: ssc.train_conditional(
-        ssc.build_tasks(DATA, 0.2, 0), _config(5), TRANS, 0, epochs=1)),
-    "baseline": (dn, lambda: ssc.train_baseline(
-        ssc.build_tasks(DATA, 0.2, 0), _config(5), 0, epochs=1)),
-    "vqvae": (vq, lambda: vq.train_vqvae(DATA, VQ_CONFIG, 0, epochs=1)),
+    "conditional": (dn, lambda data=DATA: ssc.train_conditional(
+        ssc.build_tasks(data, 0.2, 0), _config(5), TRANS, 0, epochs=1)),
+    "baseline": (dn, lambda data=DATA: ssc.train_baseline(
+        ssc.build_tasks(data, 0.2, 0), _config(5), 0, epochs=1)),
+    "vqvae": (vq, lambda data=DATA: vq.train_vqvae(data, VQ_CONFIG, 0, epochs=1)),
 }
 
 
@@ -73,6 +73,13 @@ def test_every_trainer_is_bit_deterministic_given_its_seed(name):
     assert first.keys() == second.keys()
     for key in first:
         assert np.array_equal(first[key], second[key]), key
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_every_trainer_refuses_an_empty_dataset(name):
+    _, train = TRAINERS[name]
+    with pytest.raises(ValueError, match="empty dataset"):
+        train([])
 
 
 def test_batch_step_averages_records_and_gradients_in_batch_order():

@@ -188,7 +188,7 @@ def test_save_load_round_trip(tmp_path):
         [VoxelGrid(rng.integers(0, 4, size=(4, 4, 2)))], 4)
     result = vq.VQVAETrainResult(params, SMALL, weights)
     path = tmp_path / "vq.vxdn"
-    vq.save_vqvae(path, result, extra={"note": "test"})
+    vq.save_vqvae(path, result)
     loaded = vq.load_vqvae(path)
     assert loaded.config == SMALL
     assert all(np.array_equal(loaded.params[k], params[k]) for k in params)
