@@ -17,7 +17,7 @@ from . import denoiser as dn
 from . import latent as lat
 from . import ssc as ssc_mod
 from . import vqvae as vq
-from .config import Triple, convert, load_run_config
+from .config import Seed, Size, Triple, convert, load_run_config
 from .diffusion import sample_loop
 from .errors import CheckpointError, ConfigError, SceneFormatError, TrainingDiverged
 from .grids import ClassTable, VoxelGrid
@@ -45,31 +45,23 @@ def _overrides(args) -> dict:
     return {k.strip(): v.strip() for k, _, v in (item.partition("=") for item in args.set or [])}
 
 
-def _at_least_one(flag: str, value):
-    """`value`, an int or a tuple of ints, if each is >= 1; else a ConfigError naming `flag`."""
-    if min(np.atleast_1d(value)) < 1:
-        raise ConfigError(f"bad value {value!r} for {flag} (expected >= 1)")
-    return value
-
-
 def cmd_gen_data(args):
-    dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
-    _at_least_one("--scenes", args.scenes)
-    params = ToySceneParams(dims=dims, num_classes=args.classes)
+    params = ToySceneParams(dims=convert(Triple, args.dims, "--dims"), num_classes=args.classes)
+    count, seed = convert(Size, args.scenes, "--scenes"), convert(Seed, args.seed, "--seed")
     table = toy_class_table(args.classes)
     out = Path(args.out)
     files = []
-    for i in range(args.scenes):
-        g = generate_toy_scene(params, args.seed + i)
+    for i in range(count):
+        g = generate_toy_scene(params, seed + i)
         name = f"scene_{i:04d}.vxsc"
         out.mkdir(parents=True, exist_ok=True)  # once the first scene exists
         save_scene(g, table, out / name)
         files.append(name)
     manifest = {
         "files": files,
-        "dims": list(dims),
+        "dims": list(params.dims),
         "num_classes": args.classes,
-        "seed": args.seed,
+        "seed": seed,
         "classes": [{"name": n, "color": list(c)}
                     for n, c in zip(table.names, table.colors)],
     }
@@ -150,47 +142,51 @@ def cmd_train_conditional(args, cfg, scenes, k):
     return _saver(params, config, "conditional", cfg.schedule)
 
 
-def _load(path, mode, reader):
-    """(params, config, transition) of a denoiser file for `reader`, which takes only
-    `mode`. A file saved through the API carries no mode extra and passes."""
+def _load(path, mode, reader, num_classes=None):
+    """(params, config, transition) of a denoiser file for `reader`, which takes only `mode`
+    (a file saved through the API has none and passes) and, if given, `num_classes` classes."""
     params, config, meta = dn.load_denoiser(path)
     if meta.get("mode", mode) != mode:
         raise CheckpointError(f"{path} has mode {meta['mode']}; {reader} takes mode {mode}")
+    if num_classes not in (None, config.num_classes):
+        raise CheckpointError(f"{path} has {config.num_classes} classes; --data has {num_classes}")
     trans = _transition(meta.get("schedule", "cosine"), config.num_classes, config.num_steps)
     return params, config, trans
 
 
 def cmd_sample(args):
-    dims = _at_least_one("--dims", convert(Triple, args.dims, "--dims"))
-    _at_least_one("--count", args.count)
+    dims = convert(Triple, args.dims, "--dims")
+    count, seed = convert(Size, args.count, "--count"), convert(Seed, args.seed, "--seed")
     params, config, trans = (_load(args.ckpt, "latent", "sample with --vqvae") if args.vqvae
                              else _load(args.ckpt, "unconditional", "sample without --vqvae"))
     vq_result = vq.load_vqvae(args.vqvae) if args.vqvae else None
     table = toy_class_table(vq_result.config.num_classes if vq_result else config.num_classes)
     out = Path(args.out)
-    for i in range(args.count):
-        rng = np.random.default_rng((args.seed, i))
+    for i in range(count):
+        rng = np.random.default_rng((seed, i))
         if vq_result is not None:
             grid = lat.sample_latent(params, config, vq_result, dims, trans, rng)
         else:
             grid = sample_loop(dn.as_denoiser_fn(params, config), dims, trans, rng)
         out.mkdir(parents=True, exist_ok=True)  # once the first sample has passed every check
         save_scene(grid, table, out / f"sample_{i:04d}.vxsc")
-    print(f"wrote {args.count} samples to {out}")
+    print(f"wrote {count} samples to {out}")
 
 
 def cmd_complete(args):
+    seed = convert(Seed, args.seed, "--seed")
     params, config, trans = _load(args.ckpt, "conditional", "complete")
     condition, _ = load_scene(args.condition)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     grid = ssc_mod.complete(params, config, trans, condition, rng)
     save_scene(grid, toy_class_table(config.num_classes), args.out)
     print(f"wrote completion to {args.out}")
 
 
 def cmd_eval(args):
+    seed = convert(Seed, args.seed, "--seed")
     scenes, table = _load_dataset(args.data)
-    tasks = ssc_mod.build_tasks(scenes, args.rate, args.seed)
+    tasks = ssc_mod.build_tasks(scenes, args.rate, seed)
     methods = {}
     for item in args.methods.split(","):
         name, eq, ckpt = (part.strip() for part in item.partition("="))
@@ -202,15 +198,15 @@ def cmd_eval(args):
         if name == "majority":
             methods[name] = ssc_mod.majority_class_predictor(scenes)
         elif name == "baseline":
-            params, config, _ = _load(ckpt, "baseline", "eval baseline=")
+            params, config, _ = _load(ckpt, "baseline", "eval baseline=", table.num_classes)
             methods[name] = (
                 lambda task, rng, p=params, c=config: ssc_mod.baseline_predict(p, c, task.condition))
         else:
-            params, config, trans = _load(ckpt, "conditional", "eval diffusion=")
+            params, config, trans = _load(ckpt, "conditional", "eval diffusion=", table.num_classes)
             methods[name] = (
                 lambda task, rng, p=params, c=config, tr=trans:
                 ssc_mod.complete(p, c, tr, task.condition, rng))
-    result = ssc_mod.evaluate(methods, tasks, table, seed=args.seed)
+    result = ssc_mod.evaluate(methods, tasks, table, seed=seed)
     text = result.as_text()
     print(text)
     Path(str(args.out) + ".txt").write_text(text + "\n")
@@ -234,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="write a procedural toy dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--scenes", type=int, default=100)
+    g.add_argument("--scenes", default=100)
     g.add_argument("--dims", default="16x16x4")
     g.add_argument("--classes", type=int, default=5)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", default=0)
     g.set_defaults(fn=cmd_gen_data)
 
     def train_parser(name, help_, fn, needs_vq=False):
@@ -265,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ckpt", required=True)
     s.add_argument("--vqvae", default=None, help="VQ-VAE checkpoint for latent sampling")
     s.add_argument("--dims", default="16x16x4", help="voxel dims, or latent dims with --vqvae")
-    s.add_argument("--count", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--count", default=1)
+    s.add_argument("--seed", default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_sample)
 
     c = sub.add_parser("complete", help="complete a scene from a sparse condition")
     c.add_argument("--ckpt", required=True)
     c.add_argument("--condition", required=True)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_complete)
 
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, each method once: majority, baseline=CKPT, diffusion=CKPT")
     e.add_argument("--data", required=True)
     e.add_argument("--rate", type=float, default=0.1)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", default=0)
     e.add_argument("--out", required=True, help="output prefix (.txt/.csv appended)")
     e.set_defaults(fn=cmd_eval)
 

@@ -1,70 +1,83 @@
-"""Run configuration, and the one conversion of outside values into config fields."""
+"""Run configuration, and the one conversion of outside values into config fields.
+
+A field's annotation is its rule: a type, and a number's lower bound (`Annotated[int, 1]`).
+`convert` applies it to files, `--set`, CLI flags, checkpoint JSON and every config built
+through the API; a `__post_init__` adds only rules that relate fields to each other."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import get_args, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .schedule import make_schedule
 
-Triple = tuple[int, int, int]
+Size = Annotated[int, 1]  # a count, width or extent
+Triple = tuple[Size, Size, Size]
+Seed = Annotated[int, 0]
+NonNegative = Annotated[float, 0]  # a loss weight or learning rate
 
 
 @dataclass
 class RunConfig:
     """Every knob a CLI run can turn, with desk-scale defaults; dims and K come from the data."""
 
-    num_steps: int = 20                       # diffusion steps T
+    num_steps: Size = 20                      # diffusion steps T
     schedule: str = "cosine"                  # or "linear"
-    w0: float = 0.001                         # auxiliary loss weight
-    lr: float = 0.001
-    batch_size: int = 8
-    epochs: int = 10
-    sparsity_rate: float = 0.1                # condition synthesis retention
-    hidden: tuple[int, int] = (16, 32)        # denoiser stage widths
-    vq_num_codes: int = 64                    # codebook size N
-    vq_code_dim: int = 8                      # code dimension d
-    vq_hidden: int = 32
+    w0: NonNegative = 0.001                   # auxiliary loss weight
+    lr: NonNegative = 0.001
+    batch_size: Size = 8
+    epochs: Size = 10
+    sparsity_rate: float = 0.1                # condition synthesis retention, in (0, 1]
+    hidden: tuple[Size, Size] = (16, 32)      # denoiser stage widths
+    vq_num_codes: Annotated[int, 2] = 64      # codebook size N
+    vq_code_dim: Size = 8                     # code dimension d
+    vq_hidden: Size = 32
     vq_strides: tuple[Triple, Triple] = ((2, 2, 1), (2, 2, 2))
-    vq_beta_commit: float = 0.25
-    seed: int = 0
+    vq_beta_commit: NonNegative = 0.25
+    seed: Seed = 0
 
     def __post_init__(self):
         typed(self)
-        for name in ("w0", "vq_beta_commit", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"bad value {getattr(self, name)} for {name!r} (expected >= 0)")
         try:
-            make_schedule(self.schedule, self.num_steps)  # owns the schedule and num_steps rules
+            make_schedule(self.schedule, self.num_steps)  # owns the schedule names
         except ValueError as exc:
             raise ConfigError(f"bad schedule: {exc}") from exc
 
 
-field_types = functools.cache(get_type_hints)  # a config's field -> its resolved annotation
+field_types = functools.cache(functools.partial(get_type_hints, include_extras=True))
+
+
+@functools.cache
+def _rule(kind):  # (type, lower bound, item annotations), resolved once per annotation
+    if get_origin(kind) is Annotated:
+        return (*get_args(kind), ())
+    return get_origin(kind) or kind, -math.inf, get_args(kind)
 
 
 def convert(kind, value, where: str):
-    """`value`, text or a JSON value, as the annotation `kind`: int, float, str or a
-    fixed-length tuple of these ("4,6", "8x8x4", "2,2,1;2,2,2"). Ints refuse bools and
-    fractions; numbers must be finite. A ConfigError names `where` the value came from."""
-    args, parts = get_args(kind), value
-    if args and isinstance(value, str):
-        parts = value.split(";") if get_args(args[0]) else value.replace("x", ",").split(",")
-    if args and isinstance(parts, (list, tuple)) and len(parts) == len(args):
-        return tuple(convert(a, v, where) for a, v in zip(args, parts))
+    """`value`, text or a JSON value, as the annotation `kind`: int, float, str,
+    `Annotated[int or float, lower bound]` or a fixed-length tuple of these ("4,6",
+    "8x8x4", "2,2,1;2,2,2"). Ints refuse bools and fractions; numbers must be finite
+    and at least their bound. A ConfigError names `where` the value came from."""
+    (kind, low, items), parts = _rule(kind), value
+    if items and isinstance(value, str):
+        parts = value.replace("x", ",").split(";" if get_origin(items[0]) is tuple else ",")
+    if items and isinstance(parts, (list, tuple)) and len(parts) == len(items):
+        return tuple(convert(a, v, where) for a, v in zip(items, parts))
     if kind is str and isinstance(value, str):
         return value
     if kind in (int, float) and not isinstance(value, bool):
         try:
             out = kind(value)  # from text, or the same number as another type
-            if math.isfinite(out) and (isinstance(value, str) or out == value):
+            if math.isfinite(out) and (isinstance(value, str) or out == value) and out >= low:
                 return out
         except (TypeError, ValueError, OverflowError):
             pass
-    expected = {int: "a finite int", float: "a finite float", str: "text"}.get(kind, kind)
+    expected = {int: "a finite int", float: "a finite float", str: "text",
+                tuple: f"{len(items)} values"}[kind] + (f" >= {low}" if low > -math.inf else "")
     raise ConfigError(f"bad value {value!r} for {where} (expected {expected})")
 
 

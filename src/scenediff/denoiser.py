@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .checkpoint import load_model, save_model
-from .config import typed
+from .config import Size, typed
 from .diffusion import UniformTransition, diffusion_loss_and_grad, q_marginal, sample_field
 from .errors import CheckpointError
 from .grids import VoxelGrid, one_hot
@@ -27,20 +27,18 @@ from .grids import VoxelGrid, one_hot
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    num_classes: int
-    in_channels: int  # K, or K+1 when conditioned on an occupancy channel
-    hidden: tuple[int, int] = (32, 64)
-    kernel: int = 3
-    time_dim: int = 32
-    time_hidden: int = 64
-    num_steps: int = 100  # T of the transitions the model is trained with
+    num_classes: Size
+    in_channels: Size  # K, or K+1 when conditioned on an occupancy channel
+    hidden: tuple[Size, Size] = (32, 64)
+    kernel: Size = 3
+    time_dim: Size = 32
+    time_hidden: Size = 64
+    num_steps: Size = 100  # T of the transitions the model is trained with
 
     def __post_init__(self):
         typed(self)
-        sizes = self.hidden + (self.num_classes, self.kernel, self.time_dim, self.time_hidden,
-                               self.num_steps)
-        if min(sizes) < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"sizes must be >= 1 and the kernel odd in {self}")
+        if self.kernel % 2 == 0:
+            raise ValueError(f"the kernel must be odd; got {self.kernel}")
         if self.in_channels not in (self.num_classes, self.num_classes + 1):
             raise ValueError("in_channels must be K or K+1")
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import typed
 from .grids import ClassTable, VoxelGrid, label_dtype
 
 # Canonical toy classes; a table of K classes takes the first K rows.
@@ -39,18 +41,13 @@ def toy_class_table(num_classes: int) -> ClassTable:
 
 @dataclass
 class ToySceneParams:
-    dims: tuple[int, int, int] = (16, 16, 4)
-    num_classes: int = 5
+    dims: tuple[Annotated[int, 8], Annotated[int, 8], Annotated[int, 4]] = (16, 16, 4)
+    num_classes: Annotated[int, 4] = 5
     num_buildings: int = 2
     num_vehicles: int = 2
     num_poles: int = 2
 
-    def __post_init__(self):
-        x, y, z = self.dims
-        if x < 8 or y < 8 or z < 4:
-            raise ValueError(f"dims must be at least 8x8x4; got {x}x{y}x{z}")
-        if self.num_classes < 4:
-            raise ValueError(f"need at least 4 classes; got {self.num_classes}")
+    __post_init__ = typed  # every rule is on an annotation
 
 
 def generate_toy_scene(params: ToySceneParams, seed: int) -> VoxelGrid:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import nn
 from .checkpoint import load_model, save_model
-from .config import Triple, typed
+from .config import NonNegative, Size, Triple, typed
 from .diffusion import weighted_cross_entropy
 from .grids import CategoricalField, VoxelGrid, argmax_decode, label_dtype, one_hot
 from .metrics import inverse_frequency_weights, report_from_pairs
@@ -27,19 +28,14 @@ METRICS_SUBSET = 32  # scenes in each epoch's reconstruction report
 
 @dataclass(frozen=True)
 class VQVAEConfig:
-    num_classes: int
-    num_codes: int = 64
-    code_dim: int = 8
-    hidden: int = 32
+    num_classes: Size
+    num_codes: Annotated[int, 2] = 64
+    code_dim: Size = 8
+    hidden: Size = 32
     strides: tuple[Triple, Triple] = ((2, 2, 1), (2, 2, 2))
-    beta_commit: float = 0.25
+    beta_commit: NonNegative = 0.25
 
-    def __post_init__(self):
-        typed(self)
-        sizes = (self.num_classes, self.code_dim, self.hidden) + sum(self.strides, ())
-        if min(sizes) < 1 or self.num_codes < 2 or self.beta_commit < 0:
-            raise ValueError("sizes and strides must be >= 1, num_codes >= 2 and "
-                             f"beta_commit >= 0 in {self}")
+    __post_init__ = typed  # every rule is on an annotation
 
 
 def param_shapes(config: VQVAEConfig) -> dict[str, tuple[int, ...]]:

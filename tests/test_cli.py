@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from scenediff import denoiser as dn
 from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint
 from scenediff.cli import main
-from scenediff.config import RunConfig, Triple, convert, load_run_config, parse_config_text
+from scenediff.config import (RunConfig, Seed, Size, Triple, convert, load_run_config,
+                              parse_config_text)
 from scenediff.errors import ConfigError
 from scenediff.sceneio import FLAG_RLE, MAGIC, RUN, load_scene, save_scene
 from scenediff.grids import VoxelGrid
@@ -56,12 +58,31 @@ def test_convert_checks_each_annotation():
         ((2, 2, 1), (2, 2, 2))
     assert convert(int, 3.0, "n") == 3 and type(convert(int, 3.0, "n")) is int
     assert convert(float, "1e-3", "lr") == 1e-3 and convert(str, "cosine", "s") == "cosine"
+    assert convert(tuple[Size, Size], "16,32", "hidden") == (16, 32)
+    assert convert(Seed, "0", "seed") == 0 and convert(Annotated[float, 0], 0.0, "w0") == 0.0
     for kind, value in ((int, True), (int, None), (int, 3.5), (int, "3.5"), (int, "soon"),
                         (float, "nan"), (float, float("inf")), (int, 10 ** 400), (str, 3),
                         (tuple[int, int], [1, 2, 3]), (tuple[int, int], "4"),
-                        (Triple, "2,2"), (tuple[Triple, Triple], "2,2;2,2,2")):
+                        (Triple, "2,2"), (tuple[Triple, Triple], "2,2;2,2,2"),
+                        (Size, "0"), (Size, -3), (Seed, -1), (Annotated[float, 0], -1e-300),
+                        (Annotated[int, 2], 1), (Triple, "8x0x4"),
+                        (tuple[Triple, Triple], "2,2,1;2,-1,2")):
         with pytest.raises(ConfigError, match="for the field"):
             convert(kind, value, "the field")
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: dn.DenoiserConfig(num_classes=0, in_channels=1), "'num_classes'"),
+    (lambda: dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(0, 4)), "'hidden'"),
+    (lambda: dn.DenoiserConfig(num_classes=4, in_channels=4, time_dim=0), "'time_dim'"),
+    (lambda: dn.DenoiserConfig(num_classes=4, in_channels=4, kernel=2), "odd"),
+    (lambda: dn.DenoiserConfig(num_classes=4, in_channels=6), "in_channels"),
+    (lambda: vq.VQVAEConfig(num_classes=4, num_codes=1), "'num_codes'"),
+    (lambda: vq.VQVAEConfig(num_classes=4, strides=((2, 2, 1), (2, 0, 2))), "'strides'"),
+    (lambda: vq.VQVAEConfig(num_classes=4, beta_commit=-0.5), "'beta_commit'")])
+def test_model_configs_refuse_each_rule_by_name(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_load_run_config_precedence(tmp_path):
@@ -138,16 +159,20 @@ def _one_error_line(out: str) -> bool:
 
 
 BAD_SETTINGS = [  # (command, --set values, what the error line names)
-    ("train-diffusion", ["batch_size=0"], "batch_size"),
-    ("train-diffusion", ["epochs=0"], "epochs"),
+    ("train-diffusion", ["batch_size=0"], "'batch_size'"),
+    ("train-diffusion", ["epochs=0"], "'epochs'"),
+    ("train-diffusion", ["lr=-1"], "'lr'"),
     # one epoch of one step: no later loss turns non-finite
     ("train-diffusion", ["lr=nan", "epochs=1"], "'lr'"),
     ("train-diffusion", ["lr=inf", "epochs=1"], "'lr'"),
     ("train-diffusion", ["lr=1e40", "epochs=1"], "not finite"),  # overflows only in float32
     ("train-diffusion", ["hidden=4"], "'hidden'"),
     ("train-vqvae", ["vq_strides=2,2;2,2,2"], "'vq_strides'"),
-    ("train-diffusion", ["hidden=0,4"], "hidden=(0, 4)"),
-    ("train-vqvae", ["vq_strides=0,2,1;2,2,2"], "strides=((0, 2, 1)"),
+    ("train-diffusion", ["hidden=0,4"], "'0' for 'hidden'"),
+    ("train-vqvae", ["vq_strides=0,2,1;2,2,2"], "'0' for 'vq_strides'"),
+    ("train-vqvae", ["vq_num_codes=1"], "'vq_num_codes'"),
+    ("train-vqvae", ["vq_code_dim=0"], "'vq_code_dim'"),
+    ("train-vqvae", ["vq_hidden=0"], "'vq_hidden'"),
     ("train-diffusion", ["dims=8x8x4"], "unknown key 'dims'"),
     ("train-diffusion", ["num_classes=4"], "unknown key 'num_classes'"),
     ("train-diffusion", ["w0=-1"], "w0"),
@@ -157,9 +182,10 @@ BAD_SETTINGS = [  # (command, --set values, what the error line names)
     ("train-baseline", ["w0=-1"], "'w0'"),
     ("train-vqvae", ["w0=-1"], "'w0'"),
     ("train-diffusion", ["vq_beta_commit=-5"], "'vq_beta_commit'"),
+    ("train-diffusion", ["vq_num_codes=1"], "'vq_num_codes'"),
     ("train-baseline", ["schedule=bogus"], "'bogus'"),
     ("train-vqvae", ["schedule=bogus"], "'bogus'"),
-    ("train-baseline", ["num_steps=0"], "num_steps")]
+    ("train-baseline", ["num_steps=0"], "'num_steps'")]
 
 
 @pytest.mark.parametrize("command,settings,reason", BAD_SETTINGS,
@@ -172,6 +198,26 @@ def test_train_rejects_bad_setting(tiny_data, tmp_path, capsys, command, setting
     text = capsys.readouterr().out
     assert _one_error_line(text) and reason in text.splitlines()[-1]
     assert not out.exists()
+
+
+OUT_OF_RANGE = ["epochs=0", "batch_size=0", "lr=-1", "hidden=4,0", "num_steps=0",
+                "vq_num_codes=1", "vq_code_dim=0", "vq_hidden=0", "vq_strides=2,2,1;2,0,2",
+                "vq_beta_commit=-1", "w0=-1", "seed=-1"]
+
+
+@pytest.mark.parametrize("command", ["train-diffusion", "train-vqvae", "train-latent",
+                                     "train-baseline", "train-conditional"])
+def test_train_refuses_each_out_of_range_key_before_reading_data(tmp_path, capsys, command):
+    empty, out = tmp_path / "empty", tmp_path / "x.vxdn"
+    empty.mkdir()  # read first, it would end in "no .vxsc scenes"
+    argv = [command, "--data", str(empty), "--out", str(out)]
+    if command == "train-latent":
+        argv += ["--vqvae", str(tmp_path / "missing.vxdn")]
+    for setting in OUT_OF_RANGE:
+        assert run(argv + ["--set", setting]) == 1
+        text = capsys.readouterr().out
+        assert _one_error_line(text) and f"for {setting.partition('=')[0]!r} (" in text, text
+        assert not out.exists()
 
 
 def test_train_rejects_mixed_class_tables(tmp_path, capsys):
@@ -191,8 +237,8 @@ def test_bad_dims_flag_prints_one_error_line(tmp_path, capsys):
     ckpt = write_valid_models(tmp_path)["denoiser"]
     for argv, expected in ((["gen-data", "--dims", "8x8"], "--dims"),
                            (["gen-data", "--dims", "0x8x4"], "--dims"),
-                           (["gen-data", "--dims", "4x8x4"], "8x8x4"),
-                           (["gen-data", "--classes", "3"], "4 classes"),
+                           (["gen-data", "--dims", "4x8x4"], "'dims' (expected a finite int >= 8"),
+                           (["gen-data", "--classes", "3"], "'num_classes' (expected a finite int"),
                            (["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"], "--dims"),
                            (["sample", "--ckpt", str(ckpt), "--dims", "0x4x4"], "--dims"),
                            (["sample", "--ckpt", str(ckpt), "--dims", "4x-1x4"], "--dims")):
@@ -214,6 +260,35 @@ def test_count_below_one_prints_one_error_line(tmp_path, capsys, command, flag, 
     assert text.startswith("error: ") and len(text.splitlines()) == 1
     assert flag in text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "sample", "complete", "eval"])
+def test_negative_seed_names_its_flag_before_reading_files(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    inputs = {"gen-data": [], "sample": ["--ckpt", missing],
+              "complete": ["--ckpt", missing, "--condition", missing],
+              "eval": ["--methods", "majority", "--data", missing]}[command]
+    assert run([command, "--seed", "-1", "--out", str(tmp_path / "out")] + inputs) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text) and "bad value '-1' for --seed" in text
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_eval_refuses_a_model_of_another_class_count(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--scenes", "2", "--dims", "8x8x4",
+                "--classes", "5"]) == 0
+    capsys.readouterr()
+    for k, mode, method in ((4, "baseline", "baseline"), (4, "conditional", "diffusion"),
+                            (6, "conditional", "diffusion")):
+        config = dn.DenoiserConfig(num_classes=k, in_channels=k + 1, hidden=(3, 4), num_steps=3)
+        path = tmp_path / f"{mode}{k}.vxdn"
+        dn.save_denoiser(path, dn.init_params(config, 0), config, extra={"mode": mode})
+        assert run(["eval", "--methods", f"majority,{method}={path}", "--data", str(data),
+                    "--out", str(tmp_path / "e")]) == 1
+        text = capsys.readouterr().out
+        assert _one_error_line(text) and f"has {k} classes; --data has 5" in text
+        assert not list(tmp_path.glob("e.*"))
 
 
 def test_eval_checks_the_mode_extra(tiny_data, tmp_path, capsys):

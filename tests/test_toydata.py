@@ -27,9 +27,11 @@ def test_all_configured_classes_appear_over_seeds():
 
 
 def test_rejects_small_dims_and_few_classes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'dims'"):
         generate_toy_scene(ToySceneParams(dims=(4, 8, 4)), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'dims'"):
+        generate_toy_scene(ToySceneParams(dims=(8, 8, 3)), 0)
+    with pytest.raises(ValueError, match="'num_classes'"):
         generate_toy_scene(ToySceneParams(num_classes=3), 0)
 
 
