@@ -7,7 +7,6 @@ a single "error: <reason>" line and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from . import denoiser as dn
 from . import latent as lat
 from . import ssc as ssc_mod
 from . import vqvae as vq
-from .config import Seed, Size, Triple, convert, load_run_config
+from .config import Rate, Seed, Size, Triple, convert, load_run_config
 from .diffusion import sample_loop
 from .errors import CheckpointError, ConfigError, SceneFormatError, TrainingDiverged
 from .grids import ClassTable, VoxelGrid
@@ -46,27 +45,15 @@ def _overrides(args) -> dict:
 
 
 def cmd_gen_data(args):
-    params = ToySceneParams(dims=convert(Triple, args.dims, "--dims"), num_classes=args.classes)
+    params = ToySceneParams(dims=args.dims, num_classes=args.classes)
     count, seed = convert(Size, args.scenes, "--scenes"), convert(Seed, args.seed, "--seed")
-    table = toy_class_table(args.classes)
+    table = toy_class_table(params.num_classes)
     out = Path(args.out)
-    files = []
     for i in range(count):
         g = generate_toy_scene(params, seed + i)
-        name = f"scene_{i:04d}.vxsc"
         out.mkdir(parents=True, exist_ok=True)  # once the first scene exists
-        save_scene(g, table, out / name)
-        files.append(name)
-    manifest = {
-        "files": files,
-        "dims": list(params.dims),
-        "num_classes": args.classes,
-        "seed": seed,
-        "classes": [{"name": n, "color": list(c)}
-                    for n, c in zip(table.names, table.colors)],
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {len(files)} scenes to {out}")
+        save_scene(g, table, out / f"scene_{i:04d}.vxsc")
+    print(f"wrote {count} scenes to {out}")
 
 
 def _trainer(train):
@@ -115,6 +102,8 @@ def cmd_train_vqvae(args, cfg, scenes, k):
 @_trainer
 def cmd_train_latent(args, cfg, scenes, k):
     vq_result = vq.load_vqvae(args.vqvae)
+    if (n := vq_result.config.num_classes) != k:
+        raise CheckpointError(f"{args.vqvae} has {n} classes; --data has {k}")
     trans = _transition(cfg.schedule, vq_result.config.num_codes, cfg.num_steps)
     params, config, _ = lat.train_latent_denoiser(
         scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
@@ -184,9 +173,9 @@ def cmd_complete(args):
 
 
 def cmd_eval(args):
-    seed = convert(Seed, args.seed, "--seed")
+    seed, rate = convert(Seed, args.seed, "--seed"), convert(Rate, args.rate, "--rate")
     scenes, table = _load_dataset(args.data)
-    tasks = ssc_mod.build_tasks(scenes, args.rate, seed)
+    tasks = ssc_mod.build_tasks(scenes, rate, seed)
     methods = {}
     for item in args.methods.split(","):
         name, eq, ckpt = (part.strip() for part in item.partition("="))
@@ -232,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--scenes", default=100)
     g.add_argument("--dims", default="16x16x4")
-    g.add_argument("--classes", type=int, default=5)
+    g.add_argument("--classes", default=5)
     g.add_argument("--seed", default=0)
     g.set_defaults(fn=cmd_gen_data)
 
@@ -277,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--methods", required=True,
                    help="comma list, each method once: majority, baseline=CKPT, diffusion=CKPT")
     e.add_argument("--data", required=True)
-    e.add_argument("--rate", type=float, default=0.1)
+    e.add_argument("--rate", default=0.1)
     e.add_argument("--seed", default=0)
     e.add_argument("--out", required=True, help="output prefix (.txt/.csv appended)")
     e.set_defaults(fn=cmd_eval)

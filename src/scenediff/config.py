@@ -1,8 +1,8 @@
 """Run configuration, and the one conversion of outside values into config fields.
 
-A field's annotation is its rule: a type, and a number's lower bound (`Annotated[int, 1]`).
-`convert` applies it to files, `--set`, CLI flags, checkpoint JSON and every config built
-through the API; a `__post_init__` adds only rules that relate fields to each other."""
+A field's annotation is its rule: a type, and a number's inclusive bounds (`Annotated[int, 1]`
+or `Annotated[float, low, high]`). `convert` applies it to files, `--set`, CLI flags, checkpoint
+JSON and API-built configs; a `__post_init__` adds only rules that relate fields to each other."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ Size = Annotated[int, 1]  # a count, width or extent
 Triple = tuple[Size, Size, Size]
 Seed = Annotated[int, 0]
 NonNegative = Annotated[float, 0]  # a loss weight or learning rate
+Rate = Annotated[float, math.ulp(0.0), 1.0]  # a retention rate, in (0, 1]
 
 
 @dataclass
@@ -30,7 +31,7 @@ class RunConfig:
     lr: NonNegative = 0.001
     batch_size: Size = 8
     epochs: Size = 10
-    sparsity_rate: float = 0.1                # condition synthesis retention, in (0, 1]
+    sparsity_rate: Rate = 0.1                 # condition synthesis retention
     hidden: tuple[Size, Size] = (16, 32)      # denoiser stage widths
     vq_num_codes: Annotated[int, 2] = 64      # codebook size N
     vq_code_dim: Size = 8                     # code dimension d
@@ -51,18 +52,19 @@ field_types = functools.cache(functools.partial(get_type_hints, include_extras=T
 
 
 @functools.cache
-def _rule(kind):  # (type, lower bound, item annotations), resolved once per annotation
+def _rule(kind):  # (type, (low, high), item annotations), resolved once per annotation
     if get_origin(kind) is Annotated:
-        return (*get_args(kind), ())
-    return get_origin(kind) or kind, -math.inf, get_args(kind)
+        kind, low, high = (*get_args(kind), math.inf)[:3]  # no upper bound unless given
+        return kind, (low, high), ()
+    return get_origin(kind) or kind, (-math.inf, math.inf), get_args(kind)
 
 
 def convert(kind, value, where: str):
-    """`value`, text or a JSON value, as the annotation `kind`: int, float, str,
-    `Annotated[int or float, lower bound]` or a fixed-length tuple of these ("4,6",
-    "8x8x4", "2,2,1;2,2,2"). Ints refuse bools and fractions; numbers must be finite
-    and at least their bound. A ConfigError names `where` the value came from."""
-    (kind, low, items), parts = _rule(kind), value
+    """`value`, text or a JSON value, as the annotation `kind`: int, float, str, `Annotated[int
+    or float, low]` or `[…, low, high]`, or a fixed-length tuple of these ("4,6", "8x8x4",
+    "2,2,1;2,2,2"). Ints refuse bools and fractions; numbers must be finite and within their
+    bounds, which are inclusive. A ConfigError names `where` the value came from."""
+    (kind, (low, high), items), parts = _rule(kind), value
     if items and isinstance(value, str):
         parts = value.replace("x", ",").split(";" if get_origin(items[0]) is tuple else ",")
     if items and isinstance(parts, (list, tuple)) and len(parts) == len(items):
@@ -72,12 +74,14 @@ def convert(kind, value, where: str):
     if kind in (int, float) and not isinstance(value, bool):
         try:
             out = kind(value)  # from text, or the same number as another type
-            if math.isfinite(out) and (isinstance(value, str) or out == value) and out >= low:
+            if (math.isfinite(out) and (isinstance(value, str) or out == value)
+                    and low <= out <= high):
                 return out
         except (TypeError, ValueError, OverflowError):
             pass
     expected = {int: "a finite int", float: "a finite float", str: "text",
                 tuple: f"{len(items)} values"}[kind] + (f" >= {low}" if low > -math.inf else "")
+    expected += f" and <= {high}" if high < math.inf else ""
     raise ConfigError(f"bad value {value!r} for {where} (expected {expected})")
 
 

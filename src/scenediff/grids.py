@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Rate, convert
+
 
 @dataclass(frozen=True, eq=False)
 class ClassTable:
@@ -124,10 +126,9 @@ def sparsify(grid: VoxelGrid, rate: float, seed: int) -> VoxelGrid:
     """Random partial observation of a scene's occupancy.
 
     Returns a binary grid (labels in {0, 1}) keeping ceil(rate * |occupied|)
-    uniformly chosen occupied voxels. Deterministic given the seed.
+    uniformly chosen occupied voxels, for a `Rate` in (0, 1]. Deterministic given the seed.
     """
-    if not (0.0 < rate <= 1.0):
-        raise ValueError("rate must be in (0, 1]")
+    rate = convert(Rate, rate, "'rate'")
     occ = np.flatnonzero(grid.occupancy())
     keep = int(np.ceil(rate * occ.size))
     rng = np.random.default_rng(seed)

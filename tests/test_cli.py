@@ -1,4 +1,3 @@
-import json
 import os
 import resource
 import struct
@@ -16,7 +15,7 @@ from scenediff import denoiser as dn
 from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint
 from scenediff.cli import main
-from scenediff.config import (RunConfig, Seed, Size, Triple, convert, load_run_config,
+from scenediff.config import (Rate, RunConfig, Seed, Size, Triple, convert, load_run_config,
                               parse_config_text)
 from scenediff.errors import ConfigError
 from scenediff.sceneio import FLAG_RLE, MAGIC, RUN, load_scene, save_scene
@@ -60,13 +59,15 @@ def test_convert_checks_each_annotation():
     assert convert(float, "1e-3", "lr") == 1e-3 and convert(str, "cosine", "s") == "cosine"
     assert convert(tuple[Size, Size], "16,32", "hidden") == (16, 32)
     assert convert(Seed, "0", "seed") == 0 and convert(Annotated[float, 0], 0.0, "w0") == 0.0
+    assert convert(Rate, 1, "rate") == 1.0 and convert(Rate, "1e-300", "rate") == 1e-300
     for kind, value in ((int, True), (int, None), (int, 3.5), (int, "3.5"), (int, "soon"),
                         (float, "nan"), (float, float("inf")), (int, 10 ** 400), (str, 3),
                         (tuple[int, int], [1, 2, 3]), (tuple[int, int], "4"),
                         (Triple, "2,2"), (tuple[Triple, Triple], "2,2;2,2,2"),
                         (Size, "0"), (Size, -3), (Seed, -1), (Annotated[float, 0], -1e-300),
                         (Annotated[int, 2], 1), (Triple, "8x0x4"),
-                        (tuple[Triple, Triple], "2,2,1;2,-1,2")):
+                        (tuple[Triple, Triple], "2,2,1;2,-1,2"), (Rate, 0), (Rate, -1e-300),
+                        (Rate, "1.5"), (Rate, float("nan"))):
         with pytest.raises(ConfigError, match="for the field"):
             convert(kind, value, "the field")
 
@@ -103,10 +104,11 @@ def test_gen_data_deterministic_and_loadable(tmp_path):
     for out in (out1, out2):
         assert run(["gen-data", "--out", str(out), "--scenes", "3",
                     "--dims", "8x8x4", "--classes", "4", "--seed", "5"]) == 0
-    m1 = json.loads((out1 / "manifest.json").read_text())
-    assert m1["files"] == ["scene_0000.vxsc", "scene_0001.vxsc", "scene_0002.vxsc"]
-    assert m1["dims"] == [8, 8, 4]
-    for name in m1["files"]:
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["scene_0000.vxsc", "scene_0001.vxsc", "scene_0002.vxsc"]
+    assert not (out1 / "manifest.json").exists()
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     # round-trips to the procedural generator output
     g, table = load_scene(out1 / "scene_0001.vxsc")
@@ -202,7 +204,7 @@ def test_train_rejects_bad_setting(tiny_data, tmp_path, capsys, command, setting
 
 OUT_OF_RANGE = ["epochs=0", "batch_size=0", "lr=-1", "hidden=4,0", "num_steps=0",
                 "vq_num_codes=1", "vq_code_dim=0", "vq_hidden=0", "vq_strides=2,2,1;2,0,2",
-                "vq_beta_commit=-1", "w0=-1", "seed=-1"]
+                "vq_beta_commit=-1", "w0=-1", "seed=-1", "sparsity_rate=0", "sparsity_rate=1.5"]
 
 
 @pytest.mark.parametrize("command", ["train-diffusion", "train-vqvae", "train-latent",
@@ -235,10 +237,11 @@ def test_train_rejects_mixed_class_tables(tmp_path, capsys):
 
 def test_bad_dims_flag_prints_one_error_line(tmp_path, capsys):
     ckpt = write_valid_models(tmp_path)["denoiser"]
-    for argv, expected in ((["gen-data", "--dims", "8x8"], "--dims"),
-                           (["gen-data", "--dims", "0x8x4"], "--dims"),
+    for argv, expected in ((["gen-data", "--dims", "8x8"], "'dims' (expected 3 values"),
+                           (["gen-data", "--dims", "0x8x4"], "'dims' (expected a finite int"),
                            (["gen-data", "--dims", "4x8x4"], "'dims' (expected a finite int >= 8"),
                            (["gen-data", "--classes", "3"], "'num_classes' (expected a finite int"),
+                           (["gen-data", "--classes", "x"], "'num_classes' (expected a finite int"),
                            (["sample", "--ckpt", str(ckpt), "--dims", "8x8x1.5"], "--dims"),
                            (["sample", "--ckpt", str(ckpt), "--dims", "0x4x4"], "--dims"),
                            (["sample", "--ckpt", str(ckpt), "--dims", "4x-1x4"], "--dims")):
@@ -271,6 +274,15 @@ def test_negative_seed_names_its_flag_before_reading_files(tmp_path, capsys, com
     assert run([command, "--seed", "-1", "--out", str(tmp_path / "out")] + inputs) == 1
     text = capsys.readouterr().out
     assert _one_error_line(text) and "bad value '-1' for --seed" in text
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("value", ["0", "1.5", "x"])
+def test_eval_rate_outside_0_1_names_its_flag_before_reading_files(tmp_path, capsys, value):
+    assert run(["eval", "--methods", "majority", "--data", str(tmp_path / "missing"),
+                "--rate", value, "--out", str(tmp_path / "out")]) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text) and f"bad value {value!r} for --rate" in text
     assert not list(tmp_path.glob("out*"))
 
 
@@ -471,6 +483,24 @@ def test_train_latent_writes_the_same_bytes_for_a_vqvae_at_any_path(tiny_data, t
                     "--out", str(outs[-1]), "--set", "epochs=1", "--set", "num_steps=3",
                     "--set", "hidden=3,4"]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("vq_classes,data_classes", [(6, 4), (4, 5)])
+def test_train_latent_refuses_a_vqvae_of_another_class_count(tmp_path, capsys, vq_classes,
+                                                              data_classes):
+    data, vq_ckpt, out = tmp_path / "data", tmp_path / "vq.vxdn", tmp_path / "lat.vxdn"
+    assert run(["gen-data", "--out", str(data), "--scenes", "2", "--dims", "8x8x4",
+                "--classes", str(data_classes)]) == 0
+    vq_config = vq.VQVAEConfig(num_classes=vq_classes, num_codes=4, code_dim=3, hidden=4)
+    vq.save_vqvae(vq_ckpt, vq.VQVAETrainResult(vq.init_params(vq_config, 0), vq_config,
+                                              np.ones(vq_classes)))
+    capsys.readouterr()
+    assert run(["train-latent", "--data", str(data), "--vqvae", str(vq_ckpt), "--out", str(out),
+                "--set", "epochs=1", "--set", "num_steps=3", "--set", "hidden=3,4"]) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text)
+    assert f"vq.vxdn has {vq_classes} classes; --data has {data_classes}" in text
+    assert not out.exists()
 
 
 def test_sample_rejects_latent_codebook_mismatch(tmp_path, capsys):
