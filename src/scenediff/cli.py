@@ -31,7 +31,7 @@ def _load_dataset(data_dir) -> tuple[list[VoxelGrid], ClassTable]:
         raise SceneFormatError(f"no .vxsc scenes in {data_dir}")
     scenes, tables = zip(*(load_scene(p) for p in paths))
     for p, t in zip(paths, tables):
-        if (t.names, t.colors) != (tables[0].names, tables[0].colors):
+        if t != tables[0]:
             raise SceneFormatError(f"{p}: class table differs from that of {paths[0]}")
     return list(scenes), tables[0]
 
@@ -165,10 +165,11 @@ def cmd_sample(args):
 def cmd_complete(args):
     seed = convert(Seed, args.seed, "--seed")
     params, config, trans = _load(args.ckpt, "conditional", "complete")
+    table = toy_class_table(config.num_classes)
     condition, _ = load_scene(args.condition)
     rng = np.random.default_rng(seed)
     grid = ssc_mod.complete(params, config, trans, condition, rng)
-    save_scene(grid, toy_class_table(config.num_classes), args.out)
+    save_scene(grid, table, args.out)
     print(f"wrote completion to {args.out}")
 
 
@@ -283,8 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (ConfigError, SceneFormatError, CheckpointError, TrainingDiverged,
-            ValueError, OSError) as exc:
+    except (SceneFormatError, CheckpointError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1
     except MemoryError as exc:  # numpy's message names the size it asked for

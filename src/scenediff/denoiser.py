@@ -24,21 +24,19 @@ from .diffusion import UniformTransition, diffusion_loss_and_grad, q_marginal, s
 from .errors import CheckpointError
 from .grids import VoxelGrid, one_hot
 
+KERNEL = 3  # every conv stage is KERNEL^3
+TIME_DIM, TIME_HIDDEN = 32, 64  # time MLP: a TIME_DIM embedding -> TIME_HIDDEN -> stage biases
+
 
 @dataclass(frozen=True)
 class DenoiserConfig:
     num_classes: Size
     in_channels: Size  # K, or K+1 when conditioned on an occupancy channel
     hidden: tuple[Size, Size] = (32, 64)
-    kernel: Size = 3
-    time_dim: Size = 32
-    time_hidden: Size = 64
     num_steps: Size = 100  # T of the transitions the model is trained with
 
     def __post_init__(self):
         typed(self)
-        if self.kernel % 2 == 0:
-            raise ValueError(f"the kernel must be odd; got {self.kernel}")
         if self.in_channels not in (self.num_classes, self.num_classes + 1):
             raise ValueError("in_channels must be K or K+1")
 
@@ -49,13 +47,13 @@ class DenoiserConfig:
 
 def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in init draw order."""
-    k, (h1, h2), d, dh = config.kernel, config.hidden, config.time_dim, config.time_hidden
+    h1, h2 = config.hidden
     shapes = {}
     for name, cin, cout in (("enc1", config.in_channels, h1), ("enc2", h1, h2),
                             ("dec1", h2, h1), ("out", h1, config.num_classes)):
-        shapes[f"{name}_w"], shapes[f"{name}_b"] = (k, k, k, cin, cout), (cout,)
-    shapes.update(temb_w1=(d, dh), temb_b1=(dh,),
-                  temb_w2=(dh, h1 + h2 + h1), temb_b2=(h1 + h2 + h1,))
+        shapes[f"{name}_w"], shapes[f"{name}_b"] = (KERNEL,) * 3 + (cin, cout), (cout,)
+    shapes.update(temb_w1=(TIME_DIM, TIME_HIDDEN), temb_b1=(TIME_HIDDEN,),
+                  temb_w2=(TIME_HIDDEN, h1 + h2 + h1), temb_b2=(h1 + h2 + h1,))
     return shapes
 
 
@@ -66,7 +64,7 @@ def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def _time_bias(params, config: DenoiserConfig, t: int):
-    e = nn.sinusoidal_embedding(t, config.time_dim)
+    e = nn.sinusoidal_embedding(t, TIME_DIM)
     pre = e @ params["temb_w1"] + params["temb_b1"]
     h = nn.relu(pre)
     bias = h @ params["temb_w2"] + params["temb_b2"]

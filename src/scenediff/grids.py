@@ -9,7 +9,7 @@ import numpy as np
 from .config import Rate, convert
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassTable:
     """Semantic class metadata. Index 0 is always the free (empty) label."""
 

@@ -215,14 +215,12 @@ def relu_backward(x, dy):
 
 
 def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
-    """Standard sin/cos positional features of a (1-based) timestep, periods up to 1e4."""
+    """Standard sin/cos positional features of a (1-based) timestep, periods up to 1e4;
+    `dim` is even."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = t * freqs
-    emb = np.concatenate([np.sin(ang), np.cos(ang)])
-    if dim % 2:
-        emb = np.concatenate([emb, [0.0]])
-    return emb
+    return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

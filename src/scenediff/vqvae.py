@@ -141,14 +141,14 @@ def vqvae_grads(params: dict, config: VQVAEConfig, dlogits: np.ndarray,
 
 
 def reinit_dead_codes(codes: np.ndarray, usage: np.ndarray, recent_latents: np.ndarray,
-                      threshold: int, rng: np.random.Generator):
-    """Reset under-used codes to random recent encoder outputs.
+                      rng: np.random.Generator):
+    """Reset codes used fewer than DEAD_CODE_THRESHOLD times to random recent encoder outputs.
 
     Returns (new codes, number replaced). `recent_latents` is a (M, d) buffer.
     """
     if recent_latents.size == 0:
         raise ValueError("empty latent buffer")
-    dead = np.flatnonzero(usage < threshold)
+    dead = np.flatnonzero(usage < DEAD_CODE_THRESHOLD)
     new = codes.copy()
     if dead.size:
         picks = rng.integers(0, recent_latents.shape[0], size=dead.size)
@@ -202,7 +202,7 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
 
     def end_epoch(params):
         params["codes"], _ = reinit_dead_codes(
-            params["codes"], usage, np.concatenate(buffer, axis=0), DEAD_CODE_THRESHOLD, rng)
+            params["codes"], usage, np.concatenate(buffer, axis=0), rng)
         usage[:] = 0
         buffer.clear()
         recons = ((reconstruct(params, config, g), g) for g in eval_scenes)

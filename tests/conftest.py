@@ -61,8 +61,8 @@ def _pre_json_format(path):
 
 
 def _denoiser_config_set(name, **values):
-    """A denoiser file whose JSON config holds `values`, which do not convert or
-    break a rule."""
+    """A denoiser file whose JSON config holds `values`, which do not convert,
+    break a rule or name a field."""
 
     def write(path):
         config = json.dumps(dict(asdict(DENOISER), **values))
@@ -99,6 +99,9 @@ def _denoiser_nan_weight(path):
     return "denoiser"
 
 
+# a file of the earlier schema, whose config also held the now fixed architecture
+RETIRED_KEYS = _denoiser_config_set("retired_keys", kernel=3, time_dim=32, time_hidden=64)
+
 # a complete file whose array has more dims than numpy holds
 DEEP_ARRAY = _denoiser_extra_array("array_70_dims", (1,) * 70)
 
@@ -107,8 +110,9 @@ MALFORMED = [_vqvae_missing_config_field, _denoiser_array_dropped, _denoiser_arr
              _denoiser_config_set("num_steps_null", num_steps=None),
              _denoiser_config_set("num_steps_fraction", num_steps=3.5),
              _denoiser_config_set("num_steps_zero", num_steps=0),
-             _denoiser_config_set("kernel_bool", kernel=True),
+             _denoiser_config_set("num_classes_bool", num_classes=True),
              _denoiser_config_set("hidden_fraction", hidden=[3.7, 4]),
+             RETIRED_KEYS,
              DEEP_ARRAY, _denoiser_extra_array("shape_overflows_int64", (2**32 - 1,) * 3),
              _denoiser_nan_weight]
 

@@ -114,8 +114,7 @@ def test_criterion_04_loss_sanity():
 def test_criterion_05_gradient_fidelity():
     t0 = time.time()
     # denoiser: every parameter, 4x4x2 instance, 64-bit central differences
-    config = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7),
-                               time_dim=8, time_hidden=10, num_steps=10)
+    config = dn.DenoiserConfig(num_classes=3, in_channels=3, hidden=(5, 7), num_steps=10)
     params = dn.init_params(config, 1)
     rng = np.random.default_rng(505)
     h = 1e-5
@@ -271,8 +270,7 @@ def test_criterion_12_format_round_trips(tmp_path):
             loaded, lt = load_scene(path)
             ok &= loaded == g and lt.names == table.names
 
-    config = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(5, 7),
-                               time_dim=8, time_hidden=10, num_steps=10)
+    config = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(5, 7), num_steps=10)
     params = dn.init_params(config, 3)
     dn.save_denoiser(tmp_path / "d.vxdn", params, config)
     loaded, lconfig, _ = dn.load_denoiser(tmp_path / "d.vxdn")

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import scenediff
-from conftest import write_valid_models
+from conftest import RETIRED_KEYS, write_valid_models
 from scenediff import denoiser as dn
+from scenediff import ssc
 from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint
 from scenediff.cli import main
@@ -75,8 +76,6 @@ def test_convert_checks_each_annotation():
 @pytest.mark.parametrize("make,field", [
     (lambda: dn.DenoiserConfig(num_classes=0, in_channels=1), "'num_classes'"),
     (lambda: dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(0, 4)), "'hidden'"),
-    (lambda: dn.DenoiserConfig(num_classes=4, in_channels=4, time_dim=0), "'time_dim'"),
-    (lambda: dn.DenoiserConfig(num_classes=4, in_channels=4, kernel=2), "odd"),
     (lambda: dn.DenoiserConfig(num_classes=4, in_channels=6), "in_channels"),
     (lambda: vq.VQVAEConfig(num_classes=4, num_codes=1), "'num_codes'"),
     (lambda: vq.VQVAEConfig(num_classes=4, strides=((2, 2, 1), (2, 0, 2))), "'strides'"),
@@ -337,6 +336,38 @@ def test_complete_checks_the_mode_extra(tmp_path, capsys, mode):
     assert out.startswith("error: ") and len(out.splitlines()) == 1
     assert f"mode {mode}" in out and "complete takes mode conditional" in out
     assert not (tmp_path / "done.vxsc").exists()
+
+
+def test_complete_refuses_a_class_count_without_a_table_before_sampling(tmp_path, capsys,
+                                                                        monkeypatch):
+    config = dn.DenoiserConfig(num_classes=12, in_channels=13, hidden=(3, 4), num_steps=3)
+    ckpt = tmp_path / "k12.vxdn"
+    dn.save_denoiser(ckpt, dn.init_params(config, 0), config, extra={"mode": "conditional"})
+    condition = tmp_path / "cond.vxsc"
+    save_scene(VoxelGrid(np.zeros((8, 8, 4), dtype=int)), toy_class_table(4), condition)
+    calls = []
+    monkeypatch.setattr(ssc, "complete", lambda *a, **kw: calls.append(a))
+    assert run(["complete", "--ckpt", str(ckpt), "--condition", str(condition),
+                "--out", str(tmp_path / "done.vxsc")]) == 1
+    out = capsys.readouterr().out
+    assert _one_error_line(out) and "2..11 classes" in out
+    assert not calls and not (tmp_path / "done.vxsc").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "complete", "eval"])
+def test_readers_refuse_a_file_with_the_retired_architecture_keys(tiny_data, tmp_path, capsys,
+                                                                   command):
+    ckpt = tmp_path / "old.vxdn"
+    RETIRED_KEYS(ckpt)
+    argv = {"sample": ["sample", "--ckpt", str(ckpt)],
+            "complete": ["complete", "--ckpt", str(ckpt),
+                         "--condition", str(tiny_data / "scene_0000.vxsc")],
+            "eval": ["eval", "--methods", f"diffusion={ckpt}", "--data", str(tiny_data)]}
+    out = tmp_path / "out"
+    assert run(argv[command] + ["--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text) and "bad denoiser config: unknown key 'kernel'" in text
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_export_empty_scene(tmp_path):

@@ -21,8 +21,7 @@ VQ_CONFIG = vq.VQVAEConfig(num_classes=4, num_codes=6, code_dim=3, hidden=5)
 
 
 def _config(in_channels):
-    return dn.DenoiserConfig(num_classes=4, in_channels=in_channels, hidden=(3, 4),
-                             time_dim=8, time_hidden=6, num_steps=5)
+    return dn.DenoiserConfig(num_classes=4, in_channels=in_channels, hidden=(3, 4), num_steps=5)
 
 
 def _vq_result():

@@ -12,8 +12,7 @@ PARAMS = ToySceneParams(dims=(8, 8, 4), num_classes=4, num_buildings=1,
 
 
 def small_config(k=4):
-    return dn.DenoiserConfig(num_classes=k, in_channels=k + 1, hidden=(4, 6),
-                             time_dim=8, time_hidden=10, num_steps=5)
+    return dn.DenoiserConfig(num_classes=k, in_channels=k + 1, hidden=(4, 6), num_steps=5)
 
 
 def test_build_tasks_condition_is_occupied_subset():
@@ -73,8 +72,7 @@ def test_baseline_training_and_determinism():
 def test_training_rejects_unconditioned_config():
     data = generate_toy_dataset(PARAMS, 2, 0)
     tasks = ssc.build_tasks(data, 0.3, 0)
-    bad = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(4, 6),
-                            time_dim=8, time_hidden=10, num_steps=5)
+    bad = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(4, 6), num_steps=5)
     trans = UniformTransition(4, make_schedule("cosine", 5))
     with pytest.raises(ValueError):
         ssc.train_conditional(tasks, bad, trans, seed=0, epochs=1)

@@ -114,16 +114,16 @@ def test_reinit_dead_codes():
     codes = np.zeros((4, 2))
     usage = np.array([10, 0, 3, 0])
     buffer = rng.normal(size=(20, 2))
-    new, replaced = vq.reinit_dead_codes(codes, usage, buffer, 1, rng)
+    new, replaced = vq.reinit_dead_codes(codes, usage, buffer, rng)
     assert replaced == 2
     assert np.array_equal(new[0], codes[0]) and np.array_equal(new[2], codes[2])
     # replacements are actual buffer rows
     for row in (new[1], new[3]):
         assert any(np.array_equal(row, b) for b in buffer)
-    same, replaced = vq.reinit_dead_codes(codes, np.ones(4), buffer, 1, rng)
+    same, replaced = vq.reinit_dead_codes(codes, np.ones(4), buffer, rng)
     assert replaced == 0 and np.array_equal(same, codes)
     with pytest.raises(ValueError):
-        vq.reinit_dead_codes(codes, usage, np.empty((0, 2)), 1, rng)
+        vq.reinit_dead_codes(codes, usage, np.empty((0, 2)), rng)
 
 
 def test_training_improves_reconstruction():
