@@ -9,12 +9,12 @@ Layout (little-endian):
 A model file (`save_model`/`load_model`) holds these metadata keys:
     kind    the model kind, "denoiser" or "vqvae"
     config  the model's config dataclass as one JSON object
-    ...     string extras (the CLI's `mode`, and a diffusion model's `schedule`)
+    ...     string extras (the CLI's `mode`)
 and exactly the arrays, by name and shape, that its config implies. Files
 written before configs were stored as JSON have no `config` key and are
 rejected, as are configs with a key the config class does not have (such as a
-denoiser's retired `kernel`, `time_dim` and `time_hidden`); retrain them.
-`load_checkpoint` reads only through `binfile.Reader`, which checks every read.
+denoiser's retired `kernel` or a VQ-VAE's retired commitment weight); retrain
+them. `load_checkpoint` reads only through `binfile.Reader`, which checks every read.
 """
 
 from __future__ import annotations

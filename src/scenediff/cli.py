@@ -36,8 +36,8 @@ def _load_dataset(data_dir) -> tuple[list[VoxelGrid], ClassTable]:
     return list(scenes), tables[0]
 
 
-def _transition(schedule: str, k: int, num_steps: int) -> UniformTransition:
-    return UniformTransition(k, make_schedule(schedule, num_steps))
+def _transition(k: int, num_steps: int) -> UniformTransition:
+    return UniformTransition(k, make_schedule("cosine", num_steps))
 
 
 def _overrides(args) -> dict:
@@ -74,26 +74,25 @@ def _denoiser_config(cfg, k: int, in_channels: int) -> dn.DenoiserConfig:
                              hidden=cfg.hidden, num_steps=cfg.num_steps)
 
 
-def _saver(params, config, mode, schedule=None):
-    """Saver for a trained denoiser: its `mode` extra, and a diffusion model's schedule."""
-    extra = {"mode": mode} if schedule is None else {"mode": mode, "schedule": schedule}
-    return lambda path: dn.save_denoiser(path, params, config, extra=extra)
+def _saver(params, config, mode):
+    """Saver for a trained denoiser, with its `mode` extra."""
+    return lambda path: dn.save_denoiser(path, params, config, extra={"mode": mode})
 
 
 @_trainer
 def cmd_train_diffusion(args, cfg, scenes, k):
     config = _denoiser_config(cfg, k, k)
-    trans = _transition(cfg.schedule, k, cfg.num_steps)
+    trans = _transition(k, cfg.num_steps)
     params, _ = dn.train_diffusion(scenes, config, trans, cfg.seed, epochs=cfg.epochs,
                                    batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0, log=print)
-    return _saver(params, config, "unconditional", cfg.schedule)
+    return _saver(params, config, "unconditional")
 
 
 @_trainer
 def cmd_train_vqvae(args, cfg, scenes, k):
     config = vq.VQVAEConfig(num_classes=k, num_codes=cfg.vq_num_codes,
                             code_dim=cfg.vq_code_dim, hidden=cfg.vq_hidden,
-                            strides=cfg.vq_strides, beta_commit=cfg.vq_beta_commit)
+                            strides=cfg.vq_strides)
     result = vq.train_vqvae(scenes, config, cfg.seed, epochs=cfg.epochs,
                             batch_size=cfg.batch_size, lr=cfg.lr, log=print)
     return lambda path: vq.save_vqvae(path, result)
@@ -104,11 +103,11 @@ def cmd_train_latent(args, cfg, scenes, k):
     vq_result = vq.load_vqvae(args.vqvae)
     if (n := vq_result.config.num_classes) != k:
         raise CheckpointError(f"{args.vqvae} has {n} classes; --data has {k}")
-    trans = _transition(cfg.schedule, vq_result.config.num_codes, cfg.num_steps)
+    trans = _transition(vq_result.config.num_codes, cfg.num_steps)
     params, config, _ = lat.train_latent_denoiser(
         scenes, vq_result, trans, cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
         lr=cfg.lr, w0=cfg.w0, hidden=cfg.hidden, log=print)
-    return _saver(params, config, "latent", cfg.schedule)
+    return _saver(params, config, "latent")
 
 
 @_trainer
@@ -124,23 +123,26 @@ def cmd_train_baseline(args, cfg, scenes, k):
 def cmd_train_conditional(args, cfg, scenes, k):
     tasks = ssc_mod.build_tasks(scenes, cfg.sparsity_rate, cfg.seed)
     config = _denoiser_config(cfg, k, k + 1)
-    trans = _transition(cfg.schedule, k, cfg.num_steps)
+    trans = _transition(k, cfg.num_steps)
     params, _ = ssc_mod.train_conditional(tasks, config, trans, cfg.seed, epochs=cfg.epochs,
                                           batch_size=cfg.batch_size, lr=cfg.lr, w0=cfg.w0,
                                           log=print)
-    return _saver(params, config, "conditional", cfg.schedule)
+    return _saver(params, config, "conditional")
 
 
 def _load(path, mode, reader, num_classes=None):
-    """(params, config, transition) of a denoiser file for `reader`, which takes only `mode`
-    (a file saved through the API has none and passes) and, if given, `num_classes` classes."""
+    """(params, config, cosine transitions) of a denoiser file for `reader`, which takes only
+    `mode` (a file saved through the API has none and passes) and, if given, `num_classes`
+    classes. A file whose `schedule` extra names another schedule is refused."""
     params, config, meta = dn.load_denoiser(path)
     if meta.get("mode", mode) != mode:
         raise CheckpointError(f"{path} has mode {meta['mode']}; {reader} takes mode {mode}")
+    if meta.get("schedule", "cosine") != "cosine":
+        raise CheckpointError(f"{path} was trained under the {meta['schedule']} schedule; "
+                              "only cosine is supported, retrain it")
     if num_classes not in (None, config.num_classes):
         raise CheckpointError(f"{path} has {config.num_classes} classes; --data has {num_classes}")
-    trans = _transition(meta.get("schedule", "cosine"), config.num_classes, config.num_steps)
-    return params, config, trans
+    return params, config, _transition(config.num_classes, config.num_steps)
 
 
 def cmd_sample(args):

@@ -12,40 +12,12 @@ from dataclasses import dataclass
 from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .schedule import make_schedule
 
 Size = Annotated[int, 1]  # a count, width or extent
 Triple = tuple[Size, Size, Size]
 Seed = Annotated[int, 0]
 NonNegative = Annotated[float, 0]  # a loss weight or learning rate
 Rate = Annotated[float, math.ulp(0.0), 1.0]  # a retention rate, in (0, 1]
-
-
-@dataclass
-class RunConfig:
-    """Every knob a CLI run can turn, with desk-scale defaults; dims and K come from the data."""
-
-    num_steps: Size = 20                      # diffusion steps T
-    schedule: str = "cosine"                  # or "linear"
-    w0: NonNegative = 0.001                   # auxiliary loss weight
-    lr: NonNegative = 0.001
-    batch_size: Size = 8
-    epochs: Size = 10
-    sparsity_rate: Rate = 0.1                 # condition synthesis retention
-    hidden: tuple[Size, Size] = (16, 32)      # denoiser stage widths
-    vq_num_codes: Annotated[int, 2] = 64      # codebook size N
-    vq_code_dim: Size = 8                     # code dimension d
-    vq_hidden: Size = 32
-    vq_strides: tuple[Triple, Triple] = ((2, 2, 1), (2, 2, 2))
-    vq_beta_commit: NonNegative = 0.25
-    seed: Seed = 0
-
-    def __post_init__(self):
-        typed(self)
-        try:
-            make_schedule(self.schedule, self.num_steps)  # owns the schedule names
-        except ValueError as exc:
-            raise ConfigError(f"bad schedule: {exc}") from exc
 
 
 field_types = functools.cache(functools.partial(get_type_hints, include_extras=True))
@@ -60,8 +32,8 @@ def _rule(kind):  # (type, (low, high), item annotations), resolved once per ann
 
 
 def convert(kind, value, where: str):
-    """`value`, text or a JSON value, as the annotation `kind`: int, float, str, `Annotated[int
-    or float, low]` or `[…, low, high]`, or a fixed-length tuple of these ("4,6", "8x8x4",
+    """`value`, text or a JSON value, as the annotation `kind`: int, float, `Annotated[int or
+    float, low]` or `[…, low, high]`, or a fixed-length tuple of these ("4,6", "8x8x4",
     "2,2,1;2,2,2"). Ints refuse bools and fractions; numbers must be finite and within their
     bounds, which are inclusive. A ConfigError names `where` the value came from."""
     (kind, (low, high), items), parts = _rule(kind), value
@@ -69,8 +41,6 @@ def convert(kind, value, where: str):
         parts = value.replace("x", ",").split(";" if get_origin(items[0]) is tuple else ",")
     if items and isinstance(parts, (list, tuple)) and len(parts) == len(items):
         return tuple(convert(a, v, where) for a, v in zip(items, parts))
-    if kind is str and isinstance(value, str):
-        return value
     if kind in (int, float) and not isinstance(value, bool):
         try:
             out = kind(value)  # from text, or the same number as another type
@@ -79,7 +49,7 @@ def convert(kind, value, where: str):
                 return out
         except (TypeError, ValueError, OverflowError):
             pass
-    expected = {int: "a finite int", float: "a finite float", str: "text",
+    expected = {int: "a finite int", float: "a finite float",
                 tuple: f"{len(items)} values"}[kind] + (f" >= {low}" if low > -math.inf else "")
     expected += f" and <= {high}" if high < math.inf else ""
     raise ConfigError(f"bad value {value!r} for {where} (expected {expected})")
@@ -89,6 +59,26 @@ def typed(config):
     """Convert every field of a config dataclass in place by its annotation."""
     for name, kind in field_types(type(config)).items():
         object.__setattr__(config, name, convert(kind, getattr(config, name), repr(name)))
+
+
+@dataclass
+class RunConfig:
+    """Every knob a CLI run can turn, with desk-scale defaults; dims and K come from the data."""
+
+    num_steps: Size = 20                      # diffusion steps T of the cosine schedule
+    w0: NonNegative = 0.001                   # auxiliary loss weight
+    lr: NonNegative = 0.001
+    batch_size: Size = 8
+    epochs: Size = 10
+    sparsity_rate: Rate = 0.1                 # condition synthesis retention
+    hidden: tuple[Size, Size] = (16, 32)      # denoiser stage widths
+    vq_num_codes: Annotated[int, 2] = 64      # codebook size N
+    vq_code_dim: Size = 8                     # code dimension d
+    vq_hidden: Size = 32
+    vq_strides: tuple[Triple, Triple] = ((2, 2, 1), (2, 2, 2))
+    seed: Seed = 0
+
+    __post_init__ = typed  # every rule is on an annotation
 
 
 def from_values(cls, values: dict):

@@ -46,27 +46,22 @@ class NoiseSchedule:
 
 
 def make_schedule(kind: str, num_steps: int) -> NoiseSchedule:
-    """Build a schedule; `kind` is "cosine" (default choice) or "linear".
+    """The cosine schedule of `num_steps` steps; `kind` must be "cosine", the one schedule.
 
-    Cosine: alpha_bar follows the squared-cosine profile with offset s=0.008;
-    beta_t = 1 - alpha_bar_t / alpha_bar_{t-1}, clipped to (0, 0.999]. The
-    schedule recomputes alpha_bar from the clipped betas.
-    Linear: beta linearly spaced in [1e-4, 0.5].
+    alpha_bar follows the squared-cosine profile with offset s=0.008 (Nichol &
+    Dhariwal 2021); beta_t = 1 - alpha_bar_t / alpha_bar_{t-1}, clipped to
+    (0, 0.999]. The schedule recomputes alpha_bar from the clipped betas.
     """
+    if kind != "cosine":
+        raise ValueError(f"unknown schedule kind {kind!r}")
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
-    if kind == "cosine":
-        s = 0.008
-        ts = np.arange(num_steps + 1) / num_steps
-        f = np.cos((ts + s) / (1 + s) * np.pi / 2) ** 2
-        abar = f / f[0]
-        beta = 1.0 - abar[1:] / abar[:-1]
-        beta = np.clip(beta, 1e-8, 0.999)
-    elif kind == "linear":
-        beta = np.linspace(1e-4, 0.5, num_steps)
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    return NoiseSchedule(beta)
+    s = 0.008
+    ts = np.arange(num_steps + 1) / num_steps
+    f = np.cos((ts + s) / (1 + s) * np.pi / 2) ** 2
+    abar = f / f[0]
+    beta = 1.0 - abar[1:] / abar[:-1]
+    return NoiseSchedule(np.clip(beta, 1e-8, 0.999))
 
 
 class UniformTransition:

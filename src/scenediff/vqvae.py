@@ -17,11 +17,12 @@ import numpy as np
 
 from . import nn
 from .checkpoint import load_model, save_model
-from .config import NonNegative, Size, Triple, typed
+from .config import Size, Triple, typed
 from .diffusion import weighted_cross_entropy
 from .grids import CategoricalField, VoxelGrid, argmax_decode, label_dtype, one_hot
 from .metrics import inverse_frequency_weights, report_from_pairs
 
+BETA_COMMIT = 0.25  # commitment weight (van den Oord et al. 2017)
 DEAD_CODE_THRESHOLD = 1  # codes used fewer times in an epoch are reset
 METRICS_SUBSET = 32  # scenes in each epoch's reconstruction report
 
@@ -33,7 +34,6 @@ class VQVAEConfig:
     code_dim: Size = 8
     hidden: Size = 32
     strides: tuple[Triple, Triple] = ((2, 2, 1), (2, 2, 2))
-    beta_commit: NonNegative = 0.25
 
     __post_init__ = typed  # every rule is on an annotation
 
@@ -95,18 +95,19 @@ def decode(params: dict, config: VQVAEConfig, zq: np.ndarray, with_cache=False):
 
 
 def vqvae_loss(x: np.ndarray, recon_logits: np.ndarray, z: np.ndarray,
-               zq: np.ndarray, weights: np.ndarray, beta_commit: float):
+               zq: np.ndarray, weights: np.ndarray):
     """(total, recon, codebook_term, commit_term, dlogits).
 
     recon is the class-weighted cross-entropy against the dense one-hot x, averaged
-    over voxels, and dlogits its gradient, for `vqvae_grads`; the two quantization
-    terms are the mean squared latent error, as stopped-gradient penalties.
+    over voxels, and dlogits its gradient, for `vqvae_grads`; the codebook term is the
+    mean squared latent error and the commitment term BETA_COMMIT times it, as
+    stopped-gradient penalties.
     """
     if recon_logits.shape != x.shape:
         raise ValueError("reconstruction shape mismatch")
     recon, dlogits = weighted_cross_entropy(recon_logits, x, weights)
     msq = float(np.mean(((z - zq) ** 2).sum(axis=-1)))
-    return recon + msq + beta_commit * msq, recon, msq, beta_commit * msq, dlogits
+    return recon + msq + BETA_COMMIT * msq, recon, msq, BETA_COMMIT * msq, dlogits
 
 
 def vqvae_grads(params: dict, config: VQVAEConfig, dlogits: np.ndarray,
@@ -124,9 +125,9 @@ def vqvae_grads(params: dict, config: VQVAEConfig, dlogits: np.ndarray,
     grads["dec1_w"], grads["dec1_b"] = nn.patch_deconv_backward(dec_cache["zq"], du1, s2)
 
     # straight-through: the decoder's input gradient flows to the encoder as-is;
-    # the commitment term adds beta * d/dz of the mean squared latent error
+    # the commitment term adds BETA_COMMIT * d/dz of the mean squared latent error
     dz = (nn.patch_conv(du1, params["dec1_w"].T, 0.0, s2)
-          + config.beta_commit * 2.0 * (z - zq) / npos)
+          + BETA_COMMIT * 2.0 * (z - zq) / npos)
     grads["enc2_w"], grads["enc2_b"] = nn.patch_conv_backward(enc_cache["a1"], dz, s2)
     da1e = nn.patch_deconv(dz, params["enc2_w"].T, 0.0, s2, config.hidden)
     dpre1 = nn.relu_backward(enc_cache["pre1"], da1e)
@@ -194,7 +195,7 @@ def train_vqvae(dataset, config: VQVAEConfig, seed: int, epochs: int = 20,
         z, enc_cache = encode(params, config, g, with_cache=True)
         zq, idx = quantize(params["codes"], z)
         logits, dec_cache = decode(params, config, zq, with_cache=True)
-        total, *_, dlogits = vqvae_loss(enc_cache["x"], logits, z, zq, weights, config.beta_commit)
+        total, *_, dlogits = vqvae_loss(enc_cache["x"], logits, z, zq, weights)
         usage[:] += np.bincount(idx.reshape(-1), minlength=config.num_codes)
         buffer.append(z.reshape(-1, config.code_dim))
         grads = vqvae_grads(params, config, dlogits, enc_cache, dec_cache, z, zq, idx)

@@ -18,19 +18,27 @@ VQVAE = vq.VQVAEConfig(num_classes=4, num_codes=4, code_dim=3, hidden=4)
 def write_valid_models(out_dir):
     """A denoiser and a VQ-VAE file (latent-compatible: N = K = 4), by kind."""
     paths = {"denoiser": out_dir / "denoiser.vxdn", "vqvae": out_dir / "vqvae.vxdn"}
-    dn.save_denoiser(paths["denoiser"], dn.init_params(DENOISER, 0), DENOISER,
-                     extra={"schedule": "cosine"})
+    dn.save_denoiser(paths["denoiser"], dn.init_params(DENOISER, 0), DENOISER)
     vq.save_vqvae(paths["vqvae"], vq.VQVAETrainResult(vq.init_params(VQVAE, 0), VQVAE,
                                                       np.ones(4)))
     return paths
 
 
-def _vqvae_missing_config_field(path):
-    config = asdict(VQVAE)
-    del config["num_classes"]
+def _vqvae_with_config(path, config: dict):
+    """A VQ-VAE file whose JSON config is `config`."""
     params = dict(vq.init_params(VQVAE, 0), class_weights=np.ones(4))
     save_checkpoint(path, params, {"kind": "vqvae", "config": json.dumps(config)})
     return "vqvae"
+
+
+def _vqvae_missing_config_field(path):
+    config = asdict(VQVAE)
+    del config["num_classes"]
+    return _vqvae_with_config(path, config)
+
+
+def _vqvae_retired_beta_commit(path):
+    return _vqvae_with_config(path, dict(asdict(VQVAE), beta_commit=0.25))
 
 
 def _denoiser_array_dropped(path):
@@ -67,7 +75,7 @@ def _denoiser_config_set(name, **values):
     def write(path):
         config = json.dumps(dict(asdict(DENOISER), **values))
         save_checkpoint(path, dn.init_params(DENOISER, 0),
-                        {"kind": "denoiser", "config": config, "schedule": "cosine"})
+                        {"kind": "denoiser", "config": config})
         return "denoiser"
 
     write.__name__ = f"denoiser_{name}"
@@ -102,10 +110,14 @@ def _denoiser_nan_weight(path):
 # a file of the earlier schema, whose config also held the now fixed architecture
 RETIRED_KEYS = _denoiser_config_set("retired_keys", kernel=3, time_dim=32, time_hidden=64)
 
+# a VQ-VAE file whose config also held the now fixed commitment weight
+RETIRED_BETA_COMMIT = _vqvae_retired_beta_commit
+
 # a complete file whose array has more dims than numpy holds
 DEEP_ARRAY = _denoiser_extra_array("array_70_dims", (1,) * 70)
 
-MALFORMED = [_vqvae_missing_config_field, _denoiser_array_dropped, _denoiser_array_reshaped,
+MALFORMED = [_vqvae_missing_config_field, RETIRED_BETA_COMMIT,
+             _denoiser_array_dropped, _denoiser_array_reshaped,
              _vqvae_as_denoiser, _pre_json_format,
              _denoiser_config_set("num_steps_null", num_steps=None),
              _denoiser_config_set("num_steps_fraction", num_steps=3.5),

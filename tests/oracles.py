@@ -1,7 +1,7 @@
-"""Reference code that only the tests use: the one-step forward kernel, the
-loss without its gradient, the exhaustive posterior, the finite-difference
-gradient checker, the per-voxel PLY writer, and the voxel-vs-latent wall-clock
-comparison of criterion 10."""
+"""Reference code that only the tests use: a second schedule, the one-step
+forward kernel, the loss without its gradient, the exhaustive posterior, the
+finite-difference gradient checker, the per-voxel PLY writer, and the
+voxel-vs-latent wall-clock comparison of criterion 10."""
 
 from __future__ import annotations
 
@@ -16,7 +16,15 @@ from scenediff import nn
 from scenediff import vqvae as vq
 from scenediff.diffusion import diffusion_loss_and_grad, sample_loop
 from scenediff.grids import CategoricalField, ClassTable, VoxelGrid
-from scenediff.schedule import UniformTransition, make_schedule
+from scenediff.schedule import NoiseSchedule, UniformTransition, make_schedule
+
+
+def schedule(kind: str, num_steps: int) -> NoiseSchedule:
+    """The library's "cosine" schedule, or "linear": beta linearly spaced in
+    [1e-4, 0.5], a second input for the oracles that hold for any schedule."""
+    if kind == "linear":
+        return NoiseSchedule(np.linspace(1e-4, 0.5, num_steps))
+    return make_schedule(kind, num_steps)
 
 
 def q_onestep(x_prev: CategoricalField, t: int, trans: UniformTransition) -> CategoricalField:
@@ -54,8 +62,9 @@ def fd_worst(params: dict, grads: dict, evaluate, h: float, subset: int = 1) -> 
     gradients against central differences, over every `subset`-th parameter
     entry (by name, then C order). `evaluate()` returns the scalar and the ReLU
     pre-activations at the current parameters; each entry is moved in place and
-    restored. Central differences hold only where no ReLU changes sign between
-    the points they difference, so that is asserted at every step.
+    restored, also when an assertion fires. Central differences hold only where
+    no ReLU changes sign between the points they difference, so that is asserted
+    at every step.
 
     Rounding the scalar f leaves a central difference an absolute error of
     order eps * |f| / h; the tests' differences measured up to 12 times that.
@@ -75,13 +84,15 @@ def fd_worst(params: dict, grads: dict, evaluate, h: float, subset: int = 1) -> 
             i = it.multi_index
             orig = arr[i]
             values = []
-            for step in (h, -h):
-                arr[i] = orig + step
-                value, pre = evaluate()
-                assert all(np.array_equal(a > 0, s) for a, s in zip(pre, signs)), \
-                    f"{name}{list(i)} +- h moves a ReLU pre-activation across zero"
-                values.append(value)
-            arr[i] = orig
+            try:
+                for step in (h, -h):
+                    arr[i] = orig + step
+                    value, pre = evaluate()
+                    assert all(np.array_equal(a > 0, s) for a, s in zip(pre, signs)), \
+                        f"{name}{list(i)} +- h moves a ReLU pre-activation across zero"
+                    values.append(value)
+            finally:
+                arr[i] = orig
             fd = (values[0] - values[1]) / (2 * h)
             worst = max(worst, abs(fd - grads[name][i]) / max(abs(fd), abs(grads[name][i]), floor))
     return worst
@@ -112,16 +123,16 @@ def vqvae_fd(params: dict, config: vq.VQVAEConfig, grid: VoxelGrid, weights: np.
     x = enc_cache["x"]
     zq0, idx = vq.quantize(params["codes"], z0)
     logits, dec_cache = vq.decode(params, config, zq0, with_cache=True)
-    *_, dlogits = vq.vqvae_loss(x, logits, z0, zq0, weights, config.beta_commit)
+    *_, dlogits = vq.vqvae_loss(x, logits, z0, zq0, weights)
     grads = vq.vqvae_grads(params, config, dlogits, enc_cache, dec_cache, z0, zq0, idx)
 
     def evaluate():
         z, enc = vq.encode(params, config, grid, with_cache=True)
         logits, dec = vq.decode(params, config, z + (zq0 - z0), with_cache=True)
-        _, recon, *_ = vq.vqvae_loss(x, logits, z, z, weights, 0.0)
+        _, recon, *_ = vq.vqvae_loss(x, logits, z, z, weights)
         npos = int(np.prod(z.shape[:3]))
         codebook = float(((params["codes"][idx] - z0) ** 2).sum()) / npos
-        commit = config.beta_commit * float(((z - zq0) ** 2).sum()) / npos
+        commit = vq.BETA_COMMIT * float(((z - zq0) ** 2).sum()) / npos
         return recon + codebook + commit, [enc["pre1"], dec["u1"]]
 
     return fd_worst(params, grads, evaluate, h, subset)

@@ -22,7 +22,7 @@ from scenediff.schedule import UniformTransition, make_schedule
 from scenediff.toydata import ToySceneParams, generate_toy_dataset, toy_class_table
 
 from oracles import (denoiser_fd, diffusion_loss, posterior_enumeration, q_onestep,
-                     timing_report, vqvae_fd)
+                     schedule, timing_report, vqvae_fd)
 
 
 def report(num: int, name: str, ok: bool) -> bool:
@@ -41,7 +41,7 @@ def test_criterion_01_transition_matrix_exactness():
     worst = 0.0
     for kind in ("cosine", "linear"):
         for k in (2, 4, 8, 16):
-            trans = UniformTransition(k, make_schedule(kind, 100))
+            trans = UniformTransition(k, schedule(kind, 100))
             q = np.eye(k)
             for t in range(1, 101):
                 q = q @ trans.single_step_matrix(t)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import DEEP_ARRAY
+from conftest import DEEP_ARRAY, RETIRED_BETA_COMMIT
 from scenediff import denoiser as dn
 from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint, save_checkpoint
@@ -34,6 +34,13 @@ def test_malformed_model_file_raises_checkpoint_error(malformed_checkpoint):
     load(valid[loaded_as])
     with pytest.raises(CheckpointError):
         load(path)
+
+
+def test_vqvae_file_with_the_retired_commitment_weight_is_refused_by_name(tmp_path):
+    path = tmp_path / "old.vxdn"
+    RETIRED_BETA_COMMIT(path)
+    with pytest.raises(CheckpointError, match="unknown key 'beta_commit'"):
+        vq.load_vqvae(path)
 
 
 def test_array_numpy_cannot_hold_is_named_not_called_truncated(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import struct
 import subprocess
@@ -16,8 +17,8 @@ from scenediff import ssc
 from scenediff import vqvae as vq
 from scenediff.checkpoint import load_checkpoint
 from scenediff.cli import main
-from scenediff.config import (Rate, RunConfig, Seed, Size, Triple, convert, load_run_config,
-                              parse_config_text)
+from scenediff.config import (Rate, RunConfig, Seed, Size, Triple, convert, field_types,
+                              from_values, load_run_config, parse_config_text)
 from scenediff.errors import ConfigError
 from scenediff.sceneio import FLAG_RLE, MAGIC, RUN, load_scene, save_scene
 from scenediff.grids import VoxelGrid
@@ -57,12 +58,12 @@ def test_convert_checks_each_annotation():
     assert convert(tuple[Triple, Triple], [[2, 2, 1], (2, 2, 2)], "strides") == \
         ((2, 2, 1), (2, 2, 2))
     assert convert(int, 3.0, "n") == 3 and type(convert(int, 3.0, "n")) is int
-    assert convert(float, "1e-3", "lr") == 1e-3 and convert(str, "cosine", "s") == "cosine"
+    assert convert(float, "1e-3", "lr") == 1e-3
     assert convert(tuple[Size, Size], "16,32", "hidden") == (16, 32)
     assert convert(Seed, "0", "seed") == 0 and convert(Annotated[float, 0], 0.0, "w0") == 0.0
     assert convert(Rate, 1, "rate") == 1.0 and convert(Rate, "1e-300", "rate") == 1e-300
     for kind, value in ((int, True), (int, None), (int, 3.5), (int, "3.5"), (int, "soon"),
-                        (float, "nan"), (float, float("inf")), (int, 10 ** 400), (str, 3),
+                        (float, "nan"), (float, float("inf")), (int, 10 ** 400),
                         (tuple[int, int], [1, 2, 3]), (tuple[int, int], "4"),
                         (Triple, "2,2"), (tuple[Triple, Triple], "2,2;2,2,2"),
                         (Size, "0"), (Size, -3), (Seed, -1), (Annotated[float, 0], -1e-300),
@@ -79,7 +80,8 @@ def test_convert_checks_each_annotation():
     (lambda: dn.DenoiserConfig(num_classes=4, in_channels=6), "in_channels"),
     (lambda: vq.VQVAEConfig(num_classes=4, num_codes=1), "'num_codes'"),
     (lambda: vq.VQVAEConfig(num_classes=4, strides=((2, 2, 1), (2, 0, 2))), "'strides'"),
-    (lambda: vq.VQVAEConfig(num_classes=4, beta_commit=-0.5), "'beta_commit'")])
+    (lambda: from_values(vq.VQVAEConfig, {"num_classes": 4, "beta_commit": 0.25}),
+     "unknown key 'beta_commit'")])
 def test_model_configs_refuse_each_rule_by_name(make, field):
     with pytest.raises(ValueError, match=field):
         make()
@@ -96,6 +98,20 @@ def test_load_run_config_precedence(tmp_path):
     assert any("default seed" in line for line in logged)
     with pytest.raises(ConfigError):
         load_run_config(None, {"bogus": "1"})
+
+
+def test_shipped_configs_load():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        assert isinstance(load_run_config(path), RunConfig), path.name
+
+
+def test_readme_key_table_names_exactly_the_run_config_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = readme.split("\n| key ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(field_types(RunConfig))
 
 
 def test_gen_data_deterministic_and_loadable(tmp_path):
@@ -177,15 +193,15 @@ BAD_SETTINGS = [  # (command, --set values, what the error line names)
     ("train-diffusion", ["dims=8x8x4"], "unknown key 'dims'"),
     ("train-diffusion", ["num_classes=4"], "unknown key 'num_classes'"),
     ("train-diffusion", ["w0=-1"], "w0"),
-    ("train-vqvae", ["vq_beta_commit=-5"], "beta_commit"),
+    ("train-vqvae", ["vq_beta_commit=-5"], "unknown key 'vq_beta_commit'"),
     ("train-diffusion", ["seed=-1"], "'seed'"),
     # RunConfig refuses these even where the command does not use the setting
     ("train-baseline", ["w0=-1"], "'w0'"),
     ("train-vqvae", ["w0=-1"], "'w0'"),
-    ("train-diffusion", ["vq_beta_commit=-5"], "'vq_beta_commit'"),
+    ("train-diffusion", ["vq_beta_commit=-5"], "unknown key 'vq_beta_commit'"),
     ("train-diffusion", ["vq_num_codes=1"], "'vq_num_codes'"),
-    ("train-baseline", ["schedule=bogus"], "'bogus'"),
-    ("train-vqvae", ["schedule=bogus"], "'bogus'"),
+    ("train-baseline", ["schedule=bogus"], "unknown key 'schedule'"),
+    ("train-vqvae", ["schedule=bogus"], "unknown key 'schedule'"),
     ("train-baseline", ["num_steps=0"], "'num_steps'")]
 
 
@@ -203,7 +219,7 @@ def test_train_rejects_bad_setting(tiny_data, tmp_path, capsys, command, setting
 
 OUT_OF_RANGE = ["epochs=0", "batch_size=0", "lr=-1", "hidden=4,0", "num_steps=0",
                 "vq_num_codes=1", "vq_code_dim=0", "vq_hidden=0", "vq_strides=2,2,1;2,0,2",
-                "vq_beta_commit=-1", "w0=-1", "seed=-1", "sparsity_rate=0", "sparsity_rate=1.5"]
+                "w0=-1", "seed=-1", "sparsity_rate=0", "sparsity_rate=1.5"]
 
 
 @pytest.mark.parametrize("command", ["train-diffusion", "train-vqvae", "train-latent",
@@ -219,6 +235,23 @@ def test_train_refuses_each_out_of_range_key_before_reading_data(tmp_path, capsy
         text = capsys.readouterr().out
         assert _one_error_line(text) and f"for {setting.partition('=')[0]!r} (" in text, text
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-diffusion", "train-vqvae", "train-latent",
+                                     "train-baseline", "train-conditional"])
+def test_train_refuses_the_retired_keys_before_reading_data(tmp_path, capsys, command):
+    empty, out, cfg = tmp_path / "empty", tmp_path / "x.vxdn", tmp_path / "run.cfg"
+    empty.mkdir()
+    argv = [command, "--data", str(empty), "--out", str(out)]
+    if command == "train-latent":
+        argv += ["--vqvae", str(tmp_path / "missing.vxdn")]
+    for key, value in (("schedule", "cosine"), ("vq_beta_commit", "0.25")):
+        cfg.write_text(f"{key} = {value}\n")
+        for given in (["--set", f"{key}={value}"], ["--config", str(cfg)]):
+            assert run(argv + given) == 1
+            text = capsys.readouterr().out
+            assert _one_error_line(text) and f"unknown key {key!r}" in text, text
+            assert not out.exists()
 
 
 def test_train_rejects_mixed_class_tables(tmp_path, capsys):
@@ -370,6 +403,44 @@ def test_readers_refuse_a_file_with_the_retired_architecture_keys(tiny_data, tmp
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("command", ["sample", "complete", "eval"])
+def test_readers_refuse_a_file_trained_under_another_schedule(tiny_data, tmp_path, capsys,
+                                                              monkeypatch, command):
+    conditional = command != "sample"
+    config = dn.DenoiserConfig(num_classes=4, in_channels=4 + conditional, hidden=(3, 4),
+                               num_steps=3)
+    ckpt = tmp_path / "linear.vxdn"
+    dn.save_denoiser(ckpt, dn.init_params(config, 0), config,
+                     extra={"mode": "conditional" if conditional else "unconditional",
+                            "schedule": "linear"})
+    calls = []
+    monkeypatch.setattr("scenediff.cli.sample_loop", lambda *a: calls.append(a))
+    monkeypatch.setattr(ssc, "complete", lambda *a: calls.append(a))
+    argv = {"sample": ["sample", "--ckpt", str(ckpt)],
+            "complete": ["complete", "--ckpt", str(ckpt),
+                         "--condition", str(tiny_data / "scene_0000.vxsc")],
+            "eval": ["eval", "--methods", f"diffusion={ckpt}", "--data", str(tiny_data)]}
+    assert run(argv[command] + ["--out", str(tmp_path / "out")]) == 1
+    text = capsys.readouterr().out
+    assert _one_error_line(text) and "trained under the linear schedule" in text
+    assert not calls and not list(tmp_path.glob("out*"))
+
+
+def test_a_file_with_a_cosine_schedule_extra_samples_as_one_without(tmp_path):
+    # files written before the schedule was fixed name it; cosine ones still load
+    config = dn.DenoiserConfig(num_classes=4, in_channels=4, hidden=(3, 4), num_steps=3)
+    params = dn.init_params(config, 0)
+    for name, extra in (("named", {"schedule": "cosine"}), ("unnamed", {})):
+        ckpt = tmp_path / f"{name}.vxdn"
+        dn.save_denoiser(ckpt, params, config, extra={"mode": "unconditional", **extra})
+        assert run(["sample", "--ckpt", str(ckpt), "--dims", "4x4x2", "--count", "2",
+                    "--out", str(tmp_path / name)]) == 0
+    for i in range(2):
+        sample = f"sample_{i:04d}.vxsc"
+        assert (tmp_path / "named" / sample).read_bytes() == \
+            (tmp_path / "unnamed" / sample).read_bytes()
+
+
 def test_export_empty_scene(tmp_path):
     table = toy_class_table(3)
     path = tmp_path / "empty.vxsc"
@@ -436,11 +507,9 @@ def test_end_to_end_pipeline(tmp_path):
                + common) == 0
 
     # each file keeps only the extras something reads
-    diffusion_keys = {"kind", "config", "mode", "schedule"}
-    for path, keys in ((ckpt, diffusion_keys), (lat_ckpt, diffusion_keys),
-                       (cond_ckpt, diffusion_keys), (base_ckpt, {"kind", "config", "mode"}),
-                       (vq_ckpt, {"kind", "config"})):
-        assert load_checkpoint(path)[1].keys() == keys, path.name
+    for path in (ckpt, lat_ckpt, cond_ckpt, base_ckpt):
+        assert load_checkpoint(path)[1].keys() == {"kind", "config", "mode"}, path.name
+    assert load_checkpoint(vq_ckpt)[1].keys() == {"kind", "config"}
 
     # completion needs a condition scene on disk
     scene, table = load_scene(data / "scene_0000.vxsc")

@@ -152,6 +152,19 @@ def test_finite_differences_refuse_a_step_across_a_relu_kink():
         denoiser_fd(params, config, idx, 4, up, 1e-4, subset=8)
 
 
+def test_finite_differences_restore_the_entry_they_moved_when_a_kink_fires():
+    # w[0] = 1e-7 sits within h of the ReLU's kink: the -h step crosses it
+    w = {"w": np.array([1e-7, 2.0])}
+    before = w["w"].copy()
+
+    def evaluate():
+        return float(np.maximum(w["w"], 0.0).sum()), [w["w"]]
+
+    with pytest.raises(AssertionError, match=r"w\[0\] \+- h moves a ReLU"):
+        fd_worst(w, {"w": np.ones(2)}, evaluate, 1e-6)
+    np.testing.assert_array_equal(w["w"], before)
+
+
 def test_build_input_rejects_labels_out_of_range():
     config = LABEL_CONFIGS["unconditioned-gather"]
     for bad in (-1, config.num_classes):
@@ -237,10 +250,10 @@ def test_train_step_divergence_detection():
 def test_checkpoint_round_trip(tmp_path):
     params = small_params()
     path = tmp_path / "d.vxdn"
-    dn.save_denoiser(path, params, SMALL, extra={"T": 10, "schedule": "cosine"})
+    dn.save_denoiser(path, params, SMALL, extra={"T": 10, "mode": "unconditional"})
     loaded, config, meta = dn.load_denoiser(path, expected_config=SMALL)
     assert config == SMALL
-    assert meta["schedule"] == "cosine"
+    assert meta["mode"] == "unconditional"
     # init draws in float32, so the f32 container round-trips bit-exactly
     assert all(np.array_equal(loaded[k], params[k]) for k in params)
     x = argmax_input(np.random.default_rng(6).random((4, 4, 2, 3)))

@@ -6,7 +6,7 @@ from scenediff.diffusion import (diffusion_loss_and_grad, kl_categorical, poster
 from scenediff.grids import CategoricalField, VoxelGrid, one_hot
 from scenediff.schedule import UniformTransition, make_schedule
 
-from oracles import diffusion_loss, posterior_enumeration, q_onestep
+from oracles import diffusion_loss, posterior_enumeration, q_onestep, schedule
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ EXACT_CASES = [(kind, k, steps) for kind in ("cosine", "linear")
 def test_reverse_chain_of_the_exact_denoiser_returns_the_data(kind, k, steps):
     # chaining the library's reverse kernels q(x_{t-1} | x_t = c) with the exact
     # x0~ from q(x_T) = pi Qbar_T down to t = 1 must give pi back
-    trans = UniformTransition(k, make_schedule(kind, steps))
+    trans = UniformTransition(k, schedule(kind, steps))
     pi = np.random.default_rng(k * steps).dirichlet(np.ones(k))
     every_label = VoxelGrid(np.arange(k).reshape(k, 1, 1))
     q = pi @ trans.cumulative_matrix(steps)
@@ -150,7 +150,7 @@ def test_reverse_chain_of_the_exact_denoiser_returns_the_data(kind, k, steps):
 def test_bound_of_the_exact_denoiser_is_entropy_plus_prior_mismatch(kind, k, steps):
     # E_{x0~pi}[-ELBO] = H(pi) + KL(pi Qbar_T || uniform) with the exact x0~,
     # enumerating every (x0 = m, x_t = c) pair; the t = 1 term is the decoder NLL
-    trans = UniformTransition(k, make_schedule(kind, steps))
+    trans = UniformTransition(k, schedule(kind, steps))
     pi = np.random.default_rng(k * steps).dirichlet(np.ones(k))
     x0 = one_hot(VoxelGrid(np.repeat(np.arange(k), k).reshape(k, k, 1)), k)
     x_t = VoxelGrid(np.tile(np.arange(k), k).reshape(k, k, 1))
@@ -275,7 +275,7 @@ def test_sample_loop_contracts(trans):
     assert g1 != g2
 
     target = VoxelGrid(np.arange(8).reshape(2, 2, 2) % 3)
-    one_step = UniformTransition(3, make_schedule("linear", 1))
+    one_step = UniformTransition(3, schedule("linear", 1))
 
     def oracle(x_t, t):
         return np.log(one_hot(target, 3).probs + 1e-12)

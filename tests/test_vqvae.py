@@ -90,16 +90,16 @@ def test_loss_zero_cases():
     x = one_hot(g, 3).probs
     perfect = np.log(x + 1e-12) * 30  # sharpen toward one-hot
     z = np.random.default_rng(1).normal(size=(1, 1, 1, 2))
-    total, recon, code, commit, _ = vq.vqvae_loss(x, perfect, z, z.copy(), w, 0.25)
+    total, recon, code, commit, _ = vq.vqvae_loss(x, perfect, z, z.copy(), w)
     assert recon < 1e-6
     assert code == 0.0 and commit == 0.0
     # squared-error terms match a direct computation
     zq = z + 1.0
-    _, _, code, commit, _ = vq.vqvae_loss(x, perfect, z, zq, w, 0.25)
+    _, _, code, commit, _ = vq.vqvae_loss(x, perfect, z, zq, w)
     assert code == pytest.approx(2.0)  # sum over d of 1^2, d=2
     assert commit == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        vq.vqvae_loss(x, np.zeros((2, 2, 2, 4)), z, zq, w, 0.25)
+        vq.vqvae_loss(x, np.zeros((2, 2, 2, 4)), z, zq, w)
 
 
 def test_straight_through_gradients_match_finite_differences():
@@ -169,8 +169,7 @@ def test_logged_loss_is_the_epoch_mean():
         x = one_hot(g, 4).probs
         z = vq.encode(params, config, g)
         zq, _ = vq.quantize(params["codes"], z)
-        losses.append(vq.vqvae_loss(x, vq.decode(params, config, zq), z, zq, weights,
-                                    config.beta_commit)[0])
+        losses.append(vq.vqvae_loss(x, vq.decode(params, config, zq), z, zq, weights)[0])
     assert len(lines) == 1 and lines[0].startswith("epoch 1 loss ")
     assert float(lines[0].split()[3]) == pytest.approx(np.mean(losses), abs=5e-5)
 
